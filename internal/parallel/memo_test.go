@@ -3,6 +3,7 @@ package parallel
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -183,7 +184,7 @@ func TestMemoCancelledWaitersDontPoison(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		_, err := m.DoCtx(ctx, "k", func() (int, error) {
+		_, _, err := m.DoCtx(ctx, "k", func() (int, error) {
 			t.Error("cancelled waiter became a second leader")
 			return 0, nil
 		})
@@ -197,66 +198,225 @@ func TestMemoCancelledWaitersDontPoison(t *testing.T) {
 
 	// The slot must hold the leader's value: cancelled waiters did not
 	// poison or clear it.
-	v, err := m.DoCtx(context.Background(), "k", func() (int, error) {
+	v, hit, err := m.DoCtx(context.Background(), "k", func() (int, error) {
 		t.Fatal("slot was poisoned: build re-ran after cancelled waiters")
 		return 0, nil
 	})
-	if err != nil || v != 31 {
-		t.Fatalf("post-cancel Do = (%d, %v), want (31, nil)", v, err)
+	if err != nil || v != 31 || !hit {
+		t.Fatalf("post-cancel DoCtx = (%d, hit %v, %v), want (31, hit, nil)", v, hit, err)
 	}
 	if b := builds.Load(); b != 1 {
 		t.Fatalf("build ran %d times, want 1", b)
 	}
 }
 
-// TestMemoForget drops completed flights but leaves in-progress ones
-// alone, so eviction during a rebuild can never start a duplicate
-// build.
-func TestMemoForget(t *testing.T) {
-	var m Memo[string, int]
-	calls := 0
-	if _, err := m.Do("k", func() (int, error) { calls++; return 1, nil }); err != nil {
-		t.Fatal(err)
+func TestMemoUnboundedByDefault(t *testing.T) {
+	var m Memo[int, int]
+	m.OnEvict = func(k, _ int) { t.Fatalf("unbounded memo evicted key %d", k) }
+	for i := 0; i < 1000; i++ {
+		if _, err := m.Do(i, func() (int, error) { return i, nil }); err != nil {
+			t.Fatal(err)
+		}
 	}
-	m.Forget("k")
-	if v, err := m.Do("k", func() (int, error) { calls++; return 2, nil }); err != nil || v != 2 {
-		t.Fatalf("post-Forget Do = (%d, %v), want (2, nil)", v, err)
+	if n := m.Len(); n != 1000 {
+		t.Fatalf("unbounded memo holds %d values, want 1000", n)
 	}
-	if calls != 2 {
-		t.Fatalf("fn ran %d times, want 2 (Forget must force a recompute)", calls)
+}
+
+// TestMemoEvictionOrder checks the LRU bound: recency follows hits, not
+// just inserts, evictions are reported in least-recently-used order,
+// and an evicted key rebuilds on its next Do while resident keys never
+// do.
+func TestMemoEvictionOrder(t *testing.T) {
+	m := Memo[string, int]{Capacity: 3}
+	var evicted []string
+	m.OnEvict = func(k string, _ int) { evicted = append(evicted, k) }
+	builds := map[string]int{}
+	get := func(k string) (int, bool) {
+		v, hit, err := m.DoCtx(context.Background(), k, func() (int, error) {
+			builds[k]++
+			return len(k) * builds[k], nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v, hit
 	}
 
-	// Forget during an in-progress flight is a no-op: the concurrent
-	// caller still joins the existing flight.
+	get("a")
+	get("bb")
+	get("ccc")
+	// Touch "a" so "bb" becomes least recently used.
+	if v, hit := get("a"); !hit || v != 1 {
+		t.Fatalf("get(a) = (%d, hit %v), want (1, hit)", v, hit)
+	}
+	get("dddd")  // evicts bb
+	get("eeeee") // evicts ccc
+	if want := []string{"bb", "ccc"}; !reflect.DeepEqual(evicted, want) {
+		t.Fatalf("eviction order = %v, want %v (recency must follow hits, not just inserts)", evicted, want)
+	}
+	for _, k := range []string{"a", "dddd", "eeeee"} {
+		if _, hit := get(k); !hit {
+			t.Fatalf("resident key %q missed", k)
+		}
+	}
+	if n := m.Len(); n != 3 {
+		t.Fatalf("memo holds %d values, capacity 3", n)
+	}
+	if v, hit := get("bb"); hit || v != 4 {
+		t.Fatalf("evicted key: get(bb) = (%d, hit %v), want a rebuild returning 4", v, hit)
+	}
+	if builds["bb"] != 2 || builds["a"] != 1 {
+		t.Fatalf("builds = %v, want bb rebuilt once and a never", builds)
+	}
+	if want := []string{"bb", "ccc", "a"}; !reflect.DeepEqual(evicted, want) {
+		t.Fatalf("eviction order = %v, want %v", evicted, want)
+	}
+}
+
+func TestMemoBoundedConcurrent(t *testing.T) {
+	m := Memo[int, int]{Capacity: 64}
+	var evictions atomic.Int64
+	m.OnEvict = func(int, int) { evictions.Add(1) }
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				k := (g*131 + i) % 200
+				if v, err := m.Do(k, func() (int, error) { return k * 3, nil }); err != nil || v != k*3 {
+					t.Errorf("Do(%d) = (%d, %v), want %d", k, v, err, k*3)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := m.Len(); n > 64 {
+		t.Fatalf("memo holds %d values, capacity 64", n)
+	}
+	if evictions.Load() == 0 {
+		t.Fatal("200 keys through a 64-value memo evicted nothing")
+	}
+}
+
+// TestMemoRebuildAfterEvictionBuildsOnce evicts a key, then rebuilds it
+// under a herd of concurrent callers while other keys finish and push
+// the memo past its bound: the running rebuild must not be evicted, so
+// the herd shares exactly one rebuild.
+func TestMemoRebuildAfterEvictionBuildsOnce(t *testing.T) {
+	m := Memo[int, int]{Capacity: 1}
+	var evicted []int
+	m.OnEvict = func(k, _ int) { evicted = append(evicted, k) }
+	var builds atomic.Int64
+	build := func() (int, error) { builds.Add(1); return 10, nil }
+
+	m.Do(1, build)
+	m.Do(2, func() (int, error) { return 20, nil }) // evicts 1
+	if !reflect.DeepEqual(evicted, []int{1}) {
+		t.Fatalf("evicted %v, want [1]", evicted)
+	}
+
 	started := make(chan struct{})
 	release := make(chan struct{})
-	var builds atomic.Int64
+	leaderDone := make(chan struct{})
 	go func() {
-		_, _ = m.Do("live", func() (int, error) {
+		defer close(leaderDone)
+		m.Do(1, func() (int, error) {
 			builds.Add(1)
 			close(started)
 			<-release
-			return 9, nil
+			return 11, nil
 		})
 	}()
 	<-started
-	m.Forget("live") // must not remove the running flight
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		v, err := m.Do("live", func() (int, error) {
-			builds.Add(1)
-			return -1, nil
-		})
-		if err != nil || v != 9 {
-			t.Errorf("joiner got (%d, %v), want (9, nil)", v, err)
-		}
-	}()
-	time.Sleep(5 * time.Millisecond)
+	const herd = 16
+	var wg sync.WaitGroup
+	for g := 0; g < herd; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if v, err := m.Do(1, build); err != nil || v != 11 {
+				t.Errorf("herd member got (%d, %v), want the rebuild's (11, nil)", v, err)
+			}
+		}()
+	}
+	// Finished keys push the memo past its bound while 1 rebuilds.
+	m.Do(3, func() (int, error) { return 30, nil }) // evicts 2
+	m.Do(4, func() (int, error) { return 40, nil }) // evicts 3
+	time.Sleep(10 * time.Millisecond)
 	close(release)
-	<-done
-	if b := builds.Load(); b != 1 {
-		t.Fatalf("Forget on a live flight caused %d builds, want 1", b)
+	<-leaderDone
+	wg.Wait()
+
+	if b := builds.Load(); b != 2 {
+		t.Fatalf("key 1 built %d times, want 2 (first build + one shared rebuild)", b)
+	}
+	if want := []int{1, 2, 3, 4}; !reflect.DeepEqual(evicted, want) {
+		t.Fatalf("evicted %v, want %v (a running flight must never be evicted)", evicted, want)
+	}
+	if n := m.Len(); n != 1 {
+		t.Fatalf("memo holds %d values, capacity 1", n)
+	}
+}
+
+// TestMemoWaiterOutlivesLeaderDeadline: a flight that fails because its
+// leader's deadline expired must not fail a waiter whose own context is
+// still live — the waiter retries and gets a real value.
+func TestMemoWaiterOutlivesLeaderDeadline(t *testing.T) {
+	var m Memo[string, int]
+	started := make(chan struct{})
+	release := make(chan struct{})
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := m.Do("k", func() (int, error) {
+			close(started)
+			<-release
+			return 0, context.DeadlineExceeded
+		})
+		leaderErr <- err
+	}()
+	<-started
+
+	type result struct {
+		v   int
+		err error
+	}
+	patient := make(chan result, 1)
+	go func() {
+		v, _, err := m.DoCtx(context.Background(), "k", func() (int, error) { return 8, nil })
+		patient <- result{v, err}
+	}()
+	time.Sleep(10 * time.Millisecond) // let the waiter join the flight
+	close(release)
+
+	if err := <-leaderErr; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("leader err = %v, want its own DeadlineExceeded", err)
+	}
+	if r := <-patient; r.err != nil || r.v != 8 {
+		t.Fatalf("patient waiter got (%d, %v), want a retried (8, nil)", r.v, r.err)
+	}
+}
+
+// TestMemoHitAllocatesNothing pins the warm path of a bounded memo: a
+// hit is one lock, one map lookup and one recency bump.
+func TestMemoHitAllocatesNothing(t *testing.T) {
+	m := Memo[int, *int]{Capacity: 4}
+	val := 7
+	fn := func() (*int, error) { return &val, nil }
+	for k := 0; k < 4; k++ {
+		m.Do(k, fn)
+	}
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(100, func() {
+		for k := 0; k < 4; k++ {
+			if _, hit, _ := m.DoCtx(ctx, k, fn); !hit {
+				t.Fatalf("key %d missed", k)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("bounded memo hit allocates %v times, want 0", allocs)
 	}
 }
 

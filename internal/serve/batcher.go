@@ -6,7 +6,7 @@ import (
 	"sync"
 
 	"perfpred/internal/lqn"
-	"perfpred/internal/sessioncache"
+	"perfpred/internal/parallel"
 	"perfpred/internal/workload"
 )
 
@@ -123,7 +123,7 @@ func (b *batcher) worker() {
 	// Worker-owned solver states, bounded so a key churn cannot pin
 	// unbounded models: least-recently-solved keys drop their workspace
 	// and rebuild on next use.
-	states := sessioncache.NewLRU[modelKey, *keyState](32)
+	states := &parallel.Memo[modelKey, *keyState]{Capacity: 32}
 	batch := make([]*solveJob, 0, b.maxBatch)
 	for first := range b.queue {
 		batch = append(batch[:0], first)
@@ -155,7 +155,7 @@ func (b *batcher) worker() {
 }
 
 // run executes one job on the worker's warm state for its key.
-func (b *batcher) run(states *sessioncache.LRU[modelKey, *keyState], job *solveJob) {
+func (b *batcher) run(states *parallel.Memo[modelKey, *keyState], job *solveJob) {
 	if err := job.ctx.Err(); err != nil {
 		// The caller's deadline passed while the job sat in the queue;
 		// skip the solve rather than burning a worker on a dead request.
@@ -163,15 +163,10 @@ func (b *batcher) run(states *sessioncache.LRU[modelKey, *keyState], job *solveJ
 		job.resp <- solveOut{err: err}
 		return
 	}
-	st, ok := states.Get(job.key)
-	if !ok {
-		var err error
-		st, err = b.makeState(job.key)
-		if err != nil {
-			job.resp <- solveOut{err: err}
-			return
-		}
-		states.Put(job.key, st)
+	st, err := states.Do(job.key, func() (*keyState, error) { return b.makeState(job.key) })
+	if err != nil {
+		job.resp <- solveOut{err: err}
+		return
 	}
 	switch job.kind {
 	case solveRT:

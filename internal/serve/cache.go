@@ -11,7 +11,6 @@ import (
 	"perfpred/internal/parallel"
 	"perfpred/internal/regress"
 	"perfpred/internal/rtdist"
-	"perfpred/internal/sessioncache"
 	"perfpred/internal/trade"
 	"perfpred/internal/workload"
 )
@@ -34,132 +33,101 @@ func (k modelKey) buyFrac() float64 { return float64(k.buyPctTenth) / 1000 }
 
 // modelEntry is one cached per-(architecture, mix) predictor: the
 // hybrid-calibrated historical model, the Laplace scale its percentile
-// predictions use, and the cold-build cost it took to make.
+// predictions use, and the layered solves its build took.
 type modelEntry struct {
 	sm *hist.ServerModel
 	// laplaceB is the §7.1 post-saturation Laplace scale, either the
 	// configured constant or calibrated from a fixed-seed simulator run
 	// during the build.
 	laplaceB float64
-	// buildWall is the build's wall-clock cost (the §8.5 start-up
-	// delay this entry amortises across warm predictions).
-	buildWall time.Duration
 	// evals counts layered-solver runs spent on the build.
 	evals int
 }
 
-func (e *modelEntry) setBuildWall(d time.Duration) { e.buildWall = d }
-
-// regressEntry is one cached regression-family predictor — the cheap
-// tier: a few short seeded simulator runs instead of warm-started
-// layered sweeps plus a calibration run.
-type regressEntry struct {
-	model     *regress.Model
-	buildWall time.Duration
+// built is a memoised model with its build's wall-clock cost (the §8.5
+// start-up delay the model amortises across warm predictions).
+type built[E any] struct {
+	entry E
+	wall  time.Duration
 }
 
-func (e *regressEntry) setBuildWall(d time.Duration) { e.buildWall = d }
-
-// cacheEntry is what the generic cache needs from an entry: somewhere
-// to record the cold build's wall-clock cost.
-type cacheEntry interface {
-	setBuildWall(time.Duration)
-}
-
-// modelCache is the stampede-proof per-(architecture, mix) model
-// store, generic over the predictor tier it holds (hybrid modelEntry
-// or regressEntry): a bounded sessioncache.LRU holds finished models,
-// and a parallel.Memo singleflight collapses a thundering herd of cold
-// requests for one key into exactly one build. Completed flights are
-// immediately forgotten so the LRU is the single source of truth —
-// after an eviction the next request misses and rebuilds, and during
-// a rebuild Forget's done-only semantics guarantee no duplicate build
-// can start.
-//
-// Builds are admission-controlled: at most workers builds run
-// concurrently, at most queued more may wait for a slot, and anything
-// beyond that is rejected with ErrOverloaded so a cold-key flood
-// degrades to fast 429s instead of a convoy of queued solves.
-type modelCache[E cacheEntry] struct {
-	lru     *sessioncache.LRU[modelKey, E]
-	flights parallel.Memo[modelKey, E]
-
-	build func(modelKey) (E, error)
+// tier is one predictor tier's per-(architecture, mix) model cache: a
+// parallel.Memo bounded to Config.CacheCapacity models — its
+// singleflight collapses a thundering herd of cold requests for one key
+// into exactly one build, and its LRU bound evicts idle models so the
+// next request for them rebuilds — plus build admission control: at
+// most cap(sem) builds run concurrently, at most maxWait more may
+// wait for a slot, and anything beyond that is rejected with
+// ErrOverloaded so a cold-key flood degrades to fast 429s instead of a
+// convoy of queued solves.
+type tier[E any] struct {
+	models parallel.Memo[modelKey, built[E]]
+	build  func(modelKey) (E, error)
 
 	sem     chan struct{}
 	queued  atomic.Int64
 	maxWait int64 // queued builds allowed beyond the worker slots
 }
 
-func newModelCache[E cacheEntry](capacity, workers, maxQueued int, build func(modelKey) (E, error)) *modelCache[E] {
-	c := &modelCache[E]{
-		lru:     sessioncache.NewLRU[modelKey, E](capacity),
+func newTier[E any](capacity, workers, maxQueued int, build func(modelKey) (E, error)) *tier[E] {
+	t := &tier[E]{
 		build:   build,
 		sem:     make(chan struct{}, workers),
 		maxWait: int64(maxQueued),
 	}
-	c.lru.OnEvict(func(modelKey, E) {
-		metrics.Load().cacheEvicts.Inc()
-	})
-	return c
+	t.models.Capacity = capacity
+	t.models.OnEvict = func(modelKey, built[E]) { metrics.Load().cacheEvicts.Inc() }
+	return t
 }
 
-// get returns the entry for key, building it on a miss. cold reports
-// whether this request had to wait on a build (shared or its own).
-// The returned error is ErrOverloaded when the build queue is full and
-// ctx.Err() when the caller's deadline expired while waiting.
-func (c *modelCache[E]) get(ctx context.Context, key modelKey) (e E, cold bool, err error) {
+// get returns the model for key, building it on a miss. cold reports
+// whether this request waited on a build (shared or its own), and wall
+// is that build's cost. The error is ErrOverloaded when the build queue
+// is full and ctx.Err() when the caller's deadline expired first.
+func (t *tier[E]) get(ctx context.Context, key modelKey) (e E, wall time.Duration, cold bool, err error) {
 	m := metrics.Load()
-	if e, ok := c.lru.Get(key); ok {
+	b, hit, err := t.models.DoCtx(ctx, key, func() (built[E], error) { return t.admitBuild(ctx, key) })
+	if hit {
 		m.cacheHits.Inc()
-		return e, false, nil
+		return b.entry, 0, false, nil
 	}
 	m.cacheMisses.Inc()
-	e, err = c.flights.DoCtx(ctx, key, func() (E, error) {
-		var zero E
-		if err := c.acquireBuildSlot(ctx); err != nil {
-			return zero, err
-		}
-		defer func() { <-c.sem }()
-		start := time.Now()
-		entry, err := c.build(key)
-		if err != nil {
-			return zero, err
-		}
-		wall := time.Since(start)
-		entry.setBuildWall(wall)
-		mm := metrics.Load()
-		mm.builds.Inc()
-		mm.buildSeconds.Observe(wall.Seconds())
-		c.lru.Put(key, entry)
-		return entry, nil
-	})
-	if err != nil {
-		var zero E
-		return zero, true, err
+	return b.entry, b.wall, true, err
+}
+
+// admitBuild is the flight leader's build under admission control.
+func (t *tier[E]) admitBuild(ctx context.Context, key modelKey) (built[E], error) {
+	if err := t.acquireBuildSlot(ctx); err != nil {
+		return built[E]{}, err
 	}
-	// The value now lives in the LRU; dropping the completed flight
-	// makes eviction → rebuild work (Forget leaves in-progress flights
-	// alone, so this is safe against concurrent rebuilds).
-	c.flights.Forget(key)
-	return e, true, nil
+	defer func() { <-t.sem }()
+	start := time.Now()
+	entry, err := t.build(key)
+	if err != nil {
+		return built[E]{}, err
+	}
+	wall := time.Since(start)
+	m := metrics.Load()
+	m.builds.Inc()
+	m.buildSeconds.Observe(wall.Seconds())
+	return built[E]{entry: entry, wall: wall}, nil
 }
 
 // acquireBuildSlot admits the flight leader to a build worker slot,
 // rejecting immediately when the queue is full and abandoning the wait
 // when the leader's own deadline expires.
-func (c *modelCache[E]) acquireBuildSlot(ctx context.Context) error {
+func (t *tier[E]) acquireBuildSlot(ctx context.Context) error {
 	m := metrics.Load()
-	q := c.queued.Add(1)
+	q := t.queued.Add(1)
 	m.buildQueueDepth.Set(q)
 	m.buildQueueHigh.Observe(q)
-	defer func() { m.buildQueueDepth.Set(c.queued.Add(-1)) }()
-	if q > int64(cap(c.sem))+c.maxWait {
+	defer func() { m.buildQueueDepth.Set(t.queued.Add(-1)) }()
+	if q > int64(cap(t.sem))+t.maxWait {
 		m.rejectedOverload.Inc()
 		return ErrOverloaded
 	}
 	select {
-	case c.sem <- struct{}{}:
+	case t.sem <- struct{}{}:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -198,19 +166,19 @@ func (s *Service) buildEntry(key modelKey) (*modelEntry, error) {
 	return e, nil
 }
 
-// buildRegressEntry is the cheap tier's cold path: train a black-box
+// buildRegressModel is the cheap tier's cold path: train a black-box
 // regression model for the key's (architecture, mix) from a handful of
 // short seeded simulator runs. No layered solves, no calibration run —
 // the start-up cost the four-family comparison shows is a fraction of
 // hybrid's, traded against polynomial rather than model-based
 // accuracy. The training seed is fixed by configuration, so equal keys
 // always serve bit-identical fits.
-func (s *Service) buildRegressEntry(key modelKey) (*regressEntry, error) {
+func (s *Service) buildRegressModel(key modelKey) (*regress.Model, error) {
 	arch, ok := s.archs[key.arch]
 	if !ok {
 		return nil, &badRequestError{msg: "unknown architecture " + key.arch}
 	}
-	m, err := regress.Train(regress.TrainConfig{
+	return regress.Train(regress.TrainConfig{
 		Archs:         []workload.ServerArch{arch},
 		BuyFracs:      []float64{key.buyFrac()},
 		SamplesPerMix: s.cfg.RegressTrainSamples,
@@ -221,10 +189,6 @@ func (s *Service) buildRegressEntry(key modelKey) (*regressEntry, error) {
 		},
 		Fit: regress.FitConfig{Degree: s.cfg.RegressDegree},
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &regressEntry{model: m}, nil
 }
 
 // calibrateScale runs the simulator at ~1.4× the model's saturation

@@ -7,10 +7,11 @@
 //
 // The serving architecture has four load-bearing pieces:
 //
-//   - a per-(architecture, mix) model cache: finished hybrid models
-//     live in a bounded sessioncache.LRU, and a parallel.Memo
+//   - a per-(architecture, mix) model cache: one parallel.Memo per
+//     predictor tier, bounded by Config.CacheCapacity, whose
 //     singleflight collapses a thundering herd of cold requests for
-//     one key into exactly one build (stampede control);
+//     one key into exactly one build (stampede control) and whose LRU
+//     bound evicts idle finished models, never a build in progress;
 //   - async build workers: cold hybrid builds run warm-started
 //     layered sweeps under a bounded worker semaphore, so build cost
 //     is paid off the steady-state request path and bounded in
@@ -31,6 +32,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -39,10 +41,12 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"perfpred/internal/lqn"
+	"perfpred/internal/regress"
 	"perfpred/internal/rm"
 	"perfpred/internal/rtdist"
 	"perfpred/internal/workload"
@@ -172,14 +176,13 @@ func (c Config) withDefaults() Config {
 // has drained (Close stops the batch workers only once their queue is
 // empty, so every accepted request still gets its answer).
 type Service struct {
-	cfg   Config
-	archs map[string]workload.ServerArch
-	cache *modelCache[*modelEntry]
-	// regressCache is the cheap tier: black-box regression models
-	// trained from a few short simulator runs, sharing the hybrid
-	// cache's stampede control and admission machinery.
-	regressCache *modelCache[*regressEntry]
-	batch        *batcher
+	cfg    Config
+	archs  map[string]workload.ServerArch
+	hybrid *tier[*modelEntry]
+	// regress is the cheap tier: black-box regression models trained
+	// from a few short simulator runs.
+	regress *tier[*regress.Model]
+	batch   *batcher
 
 	closed atomic.Bool
 }
@@ -206,8 +209,8 @@ func New(cfg Config) (*Service, error) {
 		}
 		s.archs[a.Name] = a
 	}
-	s.cache = newModelCache(cfg.CacheCapacity, cfg.BuildWorkers, cfg.MaxQueuedBuilds, s.buildEntry)
-	s.regressCache = newModelCache(cfg.CacheCapacity, cfg.BuildWorkers, cfg.MaxQueuedBuilds, s.buildRegressEntry)
+	s.hybrid = newTier(cfg.CacheCapacity, cfg.BuildWorkers, cfg.MaxQueuedBuilds, s.buildEntry)
+	s.regress = newTier(cfg.CacheCapacity, cfg.BuildWorkers, cfg.MaxQueuedBuilds, s.buildRegressModel)
 	s.batch = newBatcher(cfg.SolveWorkers, cfg.MaxQueuedSolves, cfg.MaxBatch, cfg.LQN, s.makeState)
 	return s, nil
 }
@@ -391,10 +394,29 @@ func (s *Service) requestCtx(r *http.Request, deadlineMS int64) (context.Context
 	return context.WithTimeout(r.Context(), d)
 }
 
-// writeJSON writes v with status 200.
-func writeJSON(w http.ResponseWriter, v any) {
+// millis converts a build's wall-clock cost to the milliseconds the
+// responses report.
+func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// jsonBufs recycles response buffers. Encoding into a buffer before
+// the header goes out is what lets an encode failure (a non-finite
+// number, which JSON cannot carry) still become a typed 500.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON writes v with status, or a 500 error if v cannot be encoded.
+func (s *Service) writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	defer func() {
+		buf.Reset()
+		jsonBufs.Put(buf)
+	}()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		s.writeError(w, fmt.Errorf("serve: encoding response: %w", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
+	w.WriteHeader(status)
+	_, _ = w.Write(buf.Bytes())
 }
 
 // writeError maps the service's typed errors onto status codes: 400
@@ -422,9 +444,7 @@ func (s *Service) writeError(w http.ResponseWriter, err error) {
 	default:
 		m.errors.Inc()
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(errorResponse{Error: err.Error()})
+	s.writeJSON(w, status, errorResponse{Error: err.Error()})
 }
 
 // decodeInto parses a request from a JSON body (POST) or query
@@ -499,11 +519,20 @@ func validateCommon(arch string, buyPct float64) error {
 	if arch == "" {
 		return &badRequestError{msg: "missing arch"}
 	}
-	if buyPct < 0 || buyPct > 100 {
+	return validateBuyPct(buyPct)
+}
+
+// validateBuyPct, like every range check here, is written so that NaN,
+// which fails every comparison, falls outside the range.
+func validateBuyPct(buyPct float64) error {
+	if !(buyPct >= 0 && buyPct <= 100) {
 		return &badRequestError{msg: fmt.Sprintf("buy_pct %v outside [0,100]", buyPct)}
 	}
 	return nil
 }
+
+// positiveFinite reports whether x is a usable population or goal.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // ---- endpoints ----
 
@@ -527,7 +556,7 @@ func (s *Service) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	writeJSON(w, resp)
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // Predict answers a PredictRequest; it is exported so in-process
@@ -540,10 +569,10 @@ func (s *Service) Predict(r *http.Request, req PredictRequest) (*PredictResponse
 	if err := validateCommon(req.Arch, req.BuyPct); err != nil {
 		return nil, err
 	}
-	if req.Clients <= 0 {
-		return nil, &badRequestError{msg: "clients must be positive"}
+	if !positiveFinite(req.Clients) {
+		return nil, &badRequestError{msg: "clients must be positive and finite"}
 	}
-	if req.Percentile < 0 || req.Percentile >= 1 {
+	if !(req.Percentile >= 0 && req.Percentile < 1) {
 		return nil, &badRequestError{msg: fmt.Sprintf("percentile %v outside [0,1)", req.Percentile)}
 	}
 	method := req.Method
@@ -561,14 +590,11 @@ func (s *Service) Predict(r *http.Request, req PredictRequest) (*PredictResponse
 
 	switch method {
 	case "hybrid":
-		entry, cold, err := s.cache.get(ctx, key)
+		entry, wall, cold, err := s.hybrid.get(ctx, key)
 		if err != nil {
 			return nil, err
 		}
-		resp.Cold = cold
-		if cold {
-			resp.BuildMS = float64(entry.buildWall) / float64(time.Millisecond)
-		}
+		resp.Cold, resp.BuildMS = cold, millis(wall)
 		if req.Percentile > 0 {
 			rt, err := entry.sm.PredictPercentile(req.Clients, req.Percentile, entry.laplaceB)
 			if err != nil {
@@ -582,15 +608,12 @@ func (s *Service) Predict(r *http.Request, req PredictRequest) (*PredictResponse
 		if req.Percentile > 0 {
 			return nil, &badRequestError{msg: "method regress predicts means only (no percentile support)"}
 		}
-		entry, cold, err := s.regressCache.get(ctx, key)
+		model, wall, cold, err := s.regress.get(ctx, key)
 		if err != nil {
 			return nil, err
 		}
-		resp.Cold = cold
-		if cold {
-			resp.BuildMS = float64(entry.buildWall) / float64(time.Millisecond)
-		}
-		rt, err := entry.model.Predict(req.Arch, req.Clients)
+		resp.Cold, resp.BuildMS = cold, millis(wall)
+		rt, err := model.Predict(req.Arch, req.Clients)
 		if err != nil {
 			return nil, err
 		}
@@ -606,7 +629,7 @@ func (s *Service) Predict(r *http.Request, req PredictRequest) (*PredictResponse
 			// conversion borrows the cached hybrid entry's saturation
 			// boundary and Laplace scale, exactly as the offline
 			// comparison does.
-			entry, cold, err := s.cache.get(ctx, key)
+			entry, _, cold, err := s.hybrid.get(ctx, key)
 			if err != nil {
 				return nil, err
 			}
@@ -660,7 +683,7 @@ func (s *Service) handleCapacity(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	writeJSON(w, resp)
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // Capacity answers a CapacityRequest (see Predict for the in-process
@@ -672,8 +695,8 @@ func (s *Service) Capacity(r *http.Request, req CapacityRequest) (*CapacityRespo
 	if err := validateCommon(req.Arch, req.BuyPct); err != nil {
 		return nil, err
 	}
-	if req.GoalRTS <= 0 {
-		return nil, &badRequestError{msg: "goal_rt_s must be positive"}
+	if !positiveFinite(req.GoalRTS) {
+		return nil, &badRequestError{msg: "goal_rt_s must be positive and finite"}
 	}
 	method := req.Method
 	if method == "" {
@@ -687,29 +710,23 @@ func (s *Service) Capacity(r *http.Request, req CapacityRequest) (*CapacityRespo
 
 	switch method {
 	case "hybrid":
-		entry, cold, err := s.cache.get(ctx, key)
+		entry, wall, cold, err := s.hybrid.get(ctx, key)
 		if err != nil {
 			return nil, err
 		}
-		resp.Cold = cold
-		if cold {
-			resp.BuildMS = float64(entry.buildWall) / float64(time.Millisecond)
-		}
+		resp.Cold, resp.BuildMS = cold, millis(wall)
 		n, err := entry.sm.MaxClients(req.GoalRTS)
 		if err != nil {
 			return nil, err
 		}
 		resp.MaxClients = n
 	case "regress":
-		entry, cold, err := s.regressCache.get(ctx, key)
+		model, wall, cold, err := s.regress.get(ctx, key)
 		if err != nil {
 			return nil, err
 		}
-		resp.Cold = cold
-		if cold {
-			resp.BuildMS = float64(entry.buildWall) / float64(time.Millisecond)
-		}
-		n, err := entry.model.MaxClients(req.Arch, req.GoalRTS)
+		resp.Cold, resp.BuildMS = cold, millis(wall)
+		n, err := model.MaxClients(req.Arch, req.GoalRTS)
 		if err != nil {
 			return nil, err
 		}
@@ -761,7 +778,7 @@ func (s *Service) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	writeJSON(w, resp)
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // Allocate answers an AllocateRequest: Algorithm 1 over the cached
@@ -773,8 +790,8 @@ func (s *Service) Allocate(r *http.Request, req AllocateRequest) (*AllocateRespo
 	if len(req.Classes) == 0 || len(req.Servers) == 0 {
 		return nil, &badRequestError{msg: "allocate needs classes and servers"}
 	}
-	if req.BuyPct < 0 || req.BuyPct > 100 {
-		return nil, &badRequestError{msg: fmt.Sprintf("buy_pct %v outside [0,100]", req.BuyPct)}
+	if err := validateBuyPct(req.BuyPct); err != nil {
+		return nil, err
 	}
 	ctx, cancel := s.requestCtx(r, req.DeadlineMS)
 	defer cancel()
@@ -817,7 +834,7 @@ type cachedPredictor struct {
 }
 
 func (p cachedPredictor) Predict(arch string, n float64) (float64, error) {
-	entry, _, err := p.s.cache.get(p.ctx, makeKey(arch, p.buyPct))
+	entry, _, _, err := p.s.hybrid.get(p.ctx, makeKey(arch, p.buyPct))
 	if err != nil {
 		return 0, err
 	}
@@ -825,7 +842,7 @@ func (p cachedPredictor) Predict(arch string, n float64) (float64, error) {
 }
 
 func (p cachedPredictor) MaxClients(arch string, goalRT float64) (float64, error) {
-	entry, _, err := p.s.cache.get(p.ctx, makeKey(arch, p.buyPct))
+	entry, _, _, err := p.s.hybrid.get(p.ctx, makeKey(arch, p.buyPct))
 	if err != nil {
 		return 0, err
 	}
@@ -837,5 +854,5 @@ func (s *Service) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	for _, a := range s.cfg.Archs {
 		names = append(names, a.Name)
 	}
-	writeJSON(w, map[string]any{"status": "ok", "archs": names})
+	s.writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "archs": names})
 }

@@ -383,8 +383,8 @@ func TestColdStampedeBuildsOnce(t *testing.T) {
 	client := srv.Client()
 
 	var builds atomic.Int32
-	orig := s.cache.build
-	s.cache.build = func(k modelKey) (*modelEntry, error) {
+	orig := s.hybrid.build
+	s.hybrid.build = func(k modelKey) (*modelEntry, error) {
 		builds.Add(1)
 		time.Sleep(20 * time.Millisecond) // widen the stampede window
 		return orig(k)
@@ -425,8 +425,8 @@ func TestEvictionRebuild(t *testing.T) {
 	client := srv.Client()
 
 	var builds atomic.Int32
-	orig := s.cache.build
-	s.cache.build = func(k modelKey) (*modelEntry, error) {
+	orig := s.hybrid.build
+	s.hybrid.build = func(k modelKey) (*modelEntry, error) {
 		builds.Add(1)
 		return orig(k)
 	}
@@ -451,8 +451,8 @@ func TestEvictionRebuild(t *testing.T) {
 	if s1 == f1 {
 		t.Fatal("distinct architectures served identical predictions")
 	}
-	if s.cache.lru.Len() != 1 {
-		t.Fatalf("cache holds %d entries, capacity 1", s.cache.lru.Len())
+	if s.hybrid.models.Len() != 1 {
+		t.Fatalf("cache holds %d entries, capacity 1", s.hybrid.models.Len())
 	}
 }
 
@@ -526,8 +526,8 @@ func TestOverloadShedsNotCollapses(t *testing.T) {
 	if code := getJSON(t, client, warmURL, nil); code != http.StatusOK {
 		t.Fatalf("warm-up status %d", code)
 	}
-	orig := s.cache.build
-	s.cache.build = func(k modelKey) (*modelEntry, error) {
+	orig := s.hybrid.build
+	s.hybrid.build = func(k modelKey) (*modelEntry, error) {
 		time.Sleep(30 * time.Millisecond) // an expensive cold build
 		return orig(k)
 	}
@@ -611,9 +611,9 @@ func TestDeadlineExpiresWith504(t *testing.T) {
 	s, srv := newTestServer(t, nil)
 	client := srv.Client()
 
-	orig := s.cache.build
+	orig := s.hybrid.build
 	release := make(chan struct{})
-	s.cache.build = func(k modelKey) (*modelEntry, error) {
+	s.hybrid.build = func(k modelKey) (*modelEntry, error) {
 		<-release
 		return orig(k)
 	}
@@ -710,6 +710,14 @@ func TestBadRequests(t *testing.T) {
 		"/v1/predict?arch=AppServF&clients=10&method=tarot",
 		"/v1/capacity?arch=AppServF&goal_rt_s=0",
 		"/v1/capacity?arch=AppServF&goal_rt_s=-1",
+		// Non-finite numbers parse as floats but are no valid input.
+		"/v1/predict?arch=AppServF&clients=NaN",
+		"/v1/predict?arch=AppServF&clients=Inf",
+		"/v1/predict?arch=AppServF&clients=10&buy_pct=NaN",
+		"/v1/predict?arch=AppServF&clients=10&percentile=NaN",
+		"/v1/capacity?arch=AppServF&goal_rt_s=NaN",
+		"/v1/capacity?arch=AppServF&goal_rt_s=Inf",
+		"/v1/capacity?arch=AppServF&goal_rt_s=1&buy_pct=NaN",
 	} {
 		var e errorResponse
 		if code := getJSON(t, client, srv.URL+url, &e); code != http.StatusBadRequest {
@@ -727,6 +735,69 @@ func TestBadRequests(t *testing.T) {
 		Slack:   0.5, // deflation without opting in
 	}, nil); code != http.StatusBadRequest {
 		t.Errorf("slack<1 without allow_deflation: status %d, want 400", code)
+	}
+}
+
+// TestUnencodableResultIs500 asks the regress tier for a population so
+// far outside its training range that the prediction is not finite:
+// JSON cannot carry it, so the answer must be a typed 500 error, not a
+// 200 with an empty body.
+func TestUnencodableResultIs500(t *testing.T) {
+	_, srv := newTestServer(t, func(c *Config) { c.RegressSimSeconds = 4 })
+	var e errorResponse
+	url := srv.URL + "/v1/predict?arch=AppServF&clients=1e300&method=regress"
+	if code := getJSON(t, srv.Client(), url, &e); code != http.StatusInternalServerError {
+		t.Fatalf("non-finite prediction: status %d, want 500", code)
+	}
+	if e.Error == "" {
+		t.Fatal("non-finite prediction: empty error body")
+	}
+}
+
+// TestPatientWaiterOutlivesLeaderDeadline: the flight leader waits for
+// a build slot under its own deadline. When that deadline expires, a
+// caller on the same key with a longer deadline must not inherit the
+// leader's 504 — it takes over the build and gets its answer.
+func TestPatientWaiterOutlivesLeaderDeadline(t *testing.T) {
+	s, srv := newTestServer(t, func(c *Config) { c.BuildWorkers = 1 })
+	client := srv.Client()
+
+	orig := s.hybrid.build
+	holding := make(chan struct{})
+	release := make(chan struct{})
+	s.hybrid.build = func(k modelKey) (*modelEntry, error) {
+		if k.arch == "AppServS" {
+			close(holding)
+			<-release // hold the only build slot
+		}
+		return orig(k)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		getJSON(t, client, srv.URL+"/v1/predict?arch=AppServS&clients=500", nil)
+	}()
+	<-holding
+
+	leader := make(chan int, 1)
+	go func() {
+		leader <- getJSON(t, client, srv.URL+"/v1/predict?arch=AppServF&clients=500&deadline_ms=50", nil)
+	}()
+	for s.hybrid.queued.Load() == 0 { // the leader is waiting for the slot
+		time.Sleep(time.Millisecond)
+	}
+	patient := make(chan int, 1)
+	go func() {
+		patient <- getJSON(t, client, srv.URL+"/v1/predict?arch=AppServF&clients=500&deadline_ms=5000", nil)
+	}()
+	if code := <-leader; code != http.StatusGatewayTimeout {
+		t.Fatalf("leader with a 50ms deadline got %d, want 504", code)
+	}
+	close(release)
+	wg.Wait()
+	if code := <-patient; code != http.StatusOK {
+		t.Fatalf("patient waiter got %d, want 200 (it inherited the leader's deadline)", code)
 	}
 }
 

@@ -1,146 +1,115 @@
 package sessioncache
 
 import (
+	"context"
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 
 	"perfpred/internal/parallel"
 )
 
-func TestLRUUnboundedByDefault(t *testing.T) {
-	c := NewLRU[int, int](0)
-	for i := 0; i < 1000; i++ {
-		c.Put(i, i)
+// The §7.2 model treats application-server memory as an LRU cache over
+// per-client sessions, where a miss reloads the session from the
+// database. These tests check that a bounded parallel.Memo keyed by
+// client behaves as that cache: eviction follows recency of access,
+// and an evicted session is rebuilt on its next access.
+
+// sessionStore is a bounded session cache whose builder counts the
+// reloads (misses) per client.
+type sessionStore struct {
+	memo    parallel.Memo[int, string]
+	reloads map[int]int
+}
+
+func newSessionStore(capacity int) *sessionStore {
+	return &sessionStore{memo: parallel.Memo[int, string]{Capacity: capacity}, reloads: map[int]int{}}
+}
+
+func (s *sessionStore) access(t *testing.T, client int) (string, bool) {
+	t.Helper()
+	v, hit, err := s.memo.DoCtx(context.Background(), client, func() (string, error) {
+		s.reloads[client]++
+		return fmt.Sprintf("session-%d", client), nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c.Len() != 1000 {
-		t.Fatalf("unbounded cache evicted: len = %d, want 1000", c.Len())
-	}
-	if _, _, evicts := c.Stats(); evicts != 0 {
-		t.Fatalf("unbounded cache recorded %d evictions", evicts)
-	}
+	return v, hit
 }
 
 func TestLRUEvictionOrder(t *testing.T) {
-	c := NewLRU[string, int](3)
-	var evicted []string
-	c.OnEvict(func(k string, _ int) { evicted = append(evicted, k) })
+	s := newSessionStore(3)
+	var evicted []int
+	s.memo.OnEvict = func(client int, _ string) { evicted = append(evicted, client) }
 
-	c.Put("a", 1)
-	c.Put("b", 2)
-	c.Put("c", 3)
-	// Touch "a" so "b" becomes least recently used.
-	if v, ok := c.Get("a"); !ok || v != 1 {
-		t.Fatalf("Get(a) = (%d, %v)", v, ok)
+	s.access(t, 1)
+	s.access(t, 2)
+	s.access(t, 3)
+	// Client 1 is active again, so client 2 becomes least recently used.
+	if v, hit := s.access(t, 1); !hit || v != "session-1" {
+		t.Fatalf("access(1) = (%q, hit %v), want the resident session", v, hit)
 	}
-	c.Put("d", 4) // evicts b
-	c.Put("e", 5) // evicts c
-	if want := []string{"b", "c"}; !reflect.DeepEqual(evicted, want) {
-		t.Fatalf("eviction order = %v, want %v (recency must follow Get, not just Put)", evicted, want)
+	s.access(t, 4) // evicts 2
+	s.access(t, 5) // evicts 3
+	if want := []int{2, 3}; !reflect.DeepEqual(evicted, want) {
+		t.Fatalf("eviction order = %v, want %v (recency must follow accesses, not just loads)", evicted, want)
 	}
-	if want := []string{"a", "d", "e"}; !reflect.DeepEqual(c.Keys(), want) {
-		t.Fatalf("surviving keys (LRU→MRU) = %v, want %v", c.Keys(), want)
+	for _, c := range []int{1, 4, 5} {
+		if _, hit := s.access(t, c); !hit {
+			t.Fatalf("resident session %d missed", c)
+		}
 	}
-	// Replacing an existing key must not evict anything.
-	c.Put("a", 10)
+	if n := s.memo.Len(); n != 3 {
+		t.Fatalf("cache holds %d sessions, capacity 3", n)
+	}
 	if len(evicted) != 2 {
-		t.Fatalf("replacement evicted: %v", evicted)
-	}
-	if v, _ := c.Get("a"); v != 10 {
-		t.Fatalf("replaced value = %d, want 10", v)
+		t.Fatalf("hits on resident sessions evicted: %v", evicted)
 	}
 }
 
-// TestLRURebuildAfterEvict exercises the composition the serving cache
-// relies on: an LRU bounded to a few models in front of a
-// parallel.Memo singleflight. Evicting a key must make the next Get
-// miss and run the builder again — once — while keys still resident
-// never rebuild.
+// TestLRURebuildAfterEvict checks that evicting a session makes its
+// next access miss and reload it — once — while resident sessions
+// never reload, and that under equally active clients the reload rate
+// is the miss rate EqualAccessMissRate predicts.
 func TestLRURebuildAfterEvict(t *testing.T) {
-	c := NewLRU[int, string](2)
-	var memo parallel.Memo[int, string]
-	c.OnEvict(func(k int, _ string) { memo.Forget(k) })
-	builds := map[int]int{}
-	var mu sync.Mutex
-	get := func(k int) string {
-		if v, ok := c.Get(k); ok {
-			return v
+	s := newSessionStore(2)
+	s.access(t, 1)
+	s.access(t, 2)
+	s.access(t, 1) // keep 1 warm: 2 is now LRU
+	s.access(t, 3) // evicts 2
+	if s.reloads[1] != 1 || s.reloads[2] != 1 || s.reloads[3] != 1 {
+		t.Fatalf("reloads after first pass = %v, want one each", s.reloads)
+	}
+	if v, hit := s.access(t, 2); hit || v != "session-2" { // 2 was evicted
+		t.Fatalf("access(2) = (%q, hit %v), want a reload", v, hit)
+	}
+	if s.reloads[2] != 2 {
+		t.Fatalf("evicted session reloaded %d times, want 2 (miss after evict must reload)", s.reloads[2])
+	}
+	if v, _ := s.access(t, 1); v != "session-1" {
+		t.Fatalf("access(1) = %q", v)
+	}
+	if s.reloads[1] != 2 {
+		// 1 was evicted in turn when 2 was reloaded (capacity 2: {3, 2}).
+		t.Fatalf("reloads[1] = %d, want 2", s.reloads[1])
+	}
+
+	const clients, capacity, sessionBytes = 100, 40, 4096
+	const warm, accesses = 2000, 40000
+	s = newSessionStore(capacity)
+	rng := rand.New(rand.NewSource(7))
+	misses := 0
+	for i := 0; i < warm+accesses; i++ {
+		if _, hit := s.access(t, rng.Intn(clients)); !hit && i >= warm {
+			misses++
 		}
-		v, err := memo.Do(k, func() (string, error) {
-			mu.Lock()
-			builds[k]++
-			mu.Unlock()
-			v := fmt.Sprintf("model-%d", k)
-			c.Put(k, v)
-			return v, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		memo.Forget(k)
-		return v
 	}
-
-	get(1)
-	get(2)
-	get(1) // keep 1 warm: 2 is now LRU
-	get(3) // evicts 2
-	if builds[1] != 1 || builds[2] != 1 || builds[3] != 1 {
-		t.Fatalf("builds after first pass = %v, want one each", builds)
-	}
-	if v := get(2); v != "model-2" { // rebuilds: 2 was evicted
-		t.Fatalf("rebuilt value = %q", v)
-	}
-	if builds[2] != 2 {
-		t.Fatalf("evicted key rebuilt %d times, want 2 (miss after evict must rebuild)", builds[2])
-	}
-	if v := get(1); v != "model-1" {
-		t.Fatalf("get(1) = %q", v)
-	}
-	if builds[1] != 2 {
-		// 1 was evicted in turn when 2 was rebuilt (capacity 2: {3, 2}).
-		t.Fatalf("builds[1] = %d, want 2", builds[1])
-	}
-}
-
-func TestLRURemove(t *testing.T) {
-	c := NewLRU[string, int](2)
-	evicts := 0
-	c.OnEvict(func(string, int) { evicts++ })
-	c.Put("a", 1)
-	if !c.Remove("a") {
-		t.Fatal("Remove(a) = false, want true")
-	}
-	if c.Remove("a") {
-		t.Fatal("double Remove(a) = true")
-	}
-	if evicts != 0 {
-		t.Fatalf("Remove triggered OnEvict %d times", evicts)
-	}
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("removed key still cached")
-	}
-}
-
-func TestLRUConcurrent(t *testing.T) {
-	c := NewLRU[int, int](64)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				k := (g*131 + i) % 200
-				if v, ok := c.Get(k); ok && v != k*3 {
-					t.Errorf("Get(%d) = %d, want %d", k, v, k*3)
-				}
-				c.Put(k, k*3)
-			}
-		}(g)
-	}
-	wg.Wait()
-	if c.Len() > 64 {
-		t.Fatalf("len = %d exceeds capacity 64", c.Len())
+	got := float64(misses) / accesses
+	want := EqualAccessMissRate(clients, sessionBytes, capacity*sessionBytes)
+	if math.Abs(got-want) > 0.02 {
+		t.Fatalf("measured miss rate %.4f, EqualAccessMissRate %.4f", got, want)
 	}
 }

@@ -1,6 +1,8 @@
 // Package sessioncache models the §7.2 extension: application-server
 // main memory acting as an LRU cache over per-client session data,
-// where a cache miss costs an extra database call.
+// where a cache miss costs an extra database call. It holds only that
+// model; the bounded cache a long-lived process keeps its built
+// artifacts in is parallel.Memo.
 //
 // The package provides both sides of the paper's argument:
 //
