@@ -10,11 +10,10 @@
 #                 zero-alloc request-loop benchmarks, and the
 #                 BENCH_lqn.json / BENCH_trade.json snapshots (commit
 #                 them to extend the perf trajectory).
-#   make bench-sim — the sharded-engine evidence: calendar-queue vs
-#                 heap scheduler microbenchmarks, the shard-count
-#                 scaling sweep with its built-in determinism check,
-#                 and the 1M-client headline, snapshotted to
-#                 BENCH_sim.json (commit it).
+#   make bench-sim — the sharded-engine evidence: scheduler hold
+#                 microbenchmarks, the shard-count scaling sweep with
+#                 its built-in determinism check, and the 1M-client
+#                 headline, snapshotted to BENCH_sim.json (commit it).
 #   make bench-fleet — the in-loop resource-manager evidence: per-scorer
 #                 routing cost (allocation-free or the run aborts), the
 #                 Algorithm-1-vs-plan-oblivious A/B table, warm-started
@@ -74,7 +73,7 @@ bench:
 	$(GO) run ./cmd/tradebench -bench -out BENCH_trade.json
 
 bench-sim:
-	$(GO) test -run '^$$' -bench 'BenchmarkCalendar|BenchmarkShard' -benchmem ./internal/sim
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineHold|BenchmarkShard' -benchmem ./internal/sim
 	$(GO) run ./cmd/simbench -out BENCH_sim.json
 
 bench-fleet:

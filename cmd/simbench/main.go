@@ -1,18 +1,17 @@
 // Command simbench benchmarks the sharded discrete-event engine: the
-// per-shard calendar-queue scheduler, the conservative window
+// per-shard binary-heap scheduler, the conservative window
 // coordinator and the multi-pool Trade fleet built on them. It writes
 // a BENCH_sim.json snapshot alongside BENCH_lqn.json and
 // BENCH_trade.json so the repository's performance evidence covers all
 // three hot paths.
 //
 // The snapshot records, honestly, the machine it ran on: events/second
-// at 1, 2, 4 and 8 shards with the speedup relative to one shard,
-// scheduler microbenchmarks (binary heap vs calendar queue, with
-// allocation counts), and the headline scenario — a 1,000,000-client
-// multi-pool fleet — with its wall-clock time. Shard-level speedup
-// needs real cores; the "cores" field says how many this run had, so a
-// flat scaling column on a 1-core container is a property of the
-// machine, not the engine.
+// at 1, 2, 4 and 8 shards with the speedup relative to one shard, a
+// scheduler hold microbenchmark (with allocation counts), and the
+// headline scenario — a 1,000,000-client multi-pool fleet — with its
+// wall-clock time. Shard-level speedup needs real cores; the "cores"
+// field says how many this run had, so a flat scaling column on a
+// 1-core container is a property of the machine, not the engine.
 //
 // Every sweep doubles as a determinism check: a fixed-seed fleet must
 // report identical statistics at every shard count, and simbench fails
@@ -111,7 +110,7 @@ func main() {
 	}
 
 	snap := snapshot{
-		Note: "Sharded DES engine benchmarks: calendar-queue scheduler vs binary heap, " +
+		Note: "Sharded DES engine benchmarks: binary-heap scheduler hold cost, " +
 			"fleet scaling by shard count, and the 1M-client headline. Shard speedup is " +
 			"bounded by the cores field; multi-shard runs on one core carry core_bound " +
 			"and are exempt from the speedup regression gate. Determinism is asserted, " +
@@ -124,10 +123,9 @@ func main() {
 	if *quick {
 		pending = 10000
 	}
-	fmt.Fprintf(os.Stderr, "simbench: scheduler microbenchmarks (%d pending timers)\n", pending)
+	fmt.Fprintf(os.Stderr, "simbench: scheduler microbenchmark (%d pending timers)\n", pending)
 	snap.Scheduler = []benchResult{
-		record(fmt.Sprintf("EngineHold%dk/heap", pending/1000), schedulerBench(sim.NewEngine, pending)),
-		record(fmt.Sprintf("EngineHold%dk/calendar", pending/1000), schedulerBench(sim.NewEngineCalendar, pending)),
+		record(fmt.Sprintf("EngineHold%dk/heap", pending/1000), schedulerBench(pending)),
 	}
 
 	snap.Scaling = runScaling(counts, *quick)
@@ -154,10 +152,10 @@ func main() {
 // schedulerBench measures per-event cost with a constant population of
 // self-rescheduling timers resident in the queue — the regime a large
 // fleet shard lives in, where every idle client holds a think timer.
-// Steady state must be allocation-free on both backends.
-func schedulerBench(newEngine func() *sim.Engine, pending int) func(b *testing.B) {
+// Steady state must be allocation-free.
+func schedulerBench(pending int) func(b *testing.B) {
 	return func(b *testing.B) {
-		e := newEngine()
+		e := sim.NewEngine()
 		rng := sim.NewStream(7)
 		var fire func()
 		fire = func() { e.Schedule(rng.Exp(1.0), fire) }

@@ -58,48 +58,51 @@ func TestParseRejectsTrailingData(t *testing.T) {
 	}
 }
 
+// validateErrorCases each break validSpec in one way that Validate
+// must reject with an error mentioning want.
+var validateErrorCases = []struct {
+	name string
+	mut  func(*Spec)
+	want string
+}{
+	{"no name", func(s *Spec) { s.Name = "" }, "needs a name"},
+	{"no cohorts", func(s *Spec) { s.Cohorts = nil }, "at least one cohort"},
+	{"dup cohort", func(s *Spec) { s.Cohorts[1].Name = "shoppers" }, "duplicate cohort"},
+	{"bad mix sum", func(s *Spec) { s.Cohorts[0].Mix = map[string]float64{"browse": 0.5} }, "sum to"},
+	{"negative mix", func(s *Spec) { s.Cohorts[0].Mix = map[string]float64{"browse": 1.4, "buy": -0.4} }, "negative mix fraction"},
+	{"closed no clients", func(s *Spec) { s.Cohorts[0].Arrival.Clients = 0 }, "positive clients"},
+	{"closed no think", func(s *Spec) { s.Cohorts[0].Think = nil }, "think distribution"},
+	{"closed with pattern", func(s *Spec) { s.Cohorts[0].Arrival.Pattern = &PatternSpec{Kind: PatternDiurnal, Period: 60} }, "cannot carry a temporal pattern"},
+	{"open with think", func(s *Spec) { th := Exponential(7); s.Cohorts[1].Think = &th }, "must not declare a think"},
+	{"poisson no rate", func(s *Spec) { s.Cohorts[1].Arrival.Rate = 0 }, "positive rate"},
+	{"mmpp one state", func(s *Spec) { s.Cohorts[2].Arrival.States = s.Cohorts[2].Arrival.States[:1] }, "at least 2"},
+	{"mmpp all silent", func(s *Spec) {
+		s.Cohorts[2].Arrival.States = []MMPPStateSpec{{Rate: 0, MeanDwell: 1}, {Rate: 0, MeanDwell: 2}}
+	}, "positive rate"},
+	{"mmpp bad dwell", func(s *Spec) { s.Cohorts[2].Arrival.States[0].MeanDwell = 0 }, "positive mean_dwell"},
+	{"unknown process", func(s *Spec) { s.Cohorts[1].Arrival.Process = "fractal" }, "unknown arrival process"},
+	{"unknown dist", func(s *Spec) { s.Cohorts[0].Think.Dist = "cauchy" }, "unknown distribution"},
+	{"lognormal no cv", func(s *Spec) { s.Cohorts[0].Think.CV = 0 }, "positive cv"},
+	{"exponential with cv", func(s *Spec) { *s.Cohorts[0].Think = DistSpec{Dist: DistExponential, Mean: 7, CV: 2} }, "must not set cv"},
+	{"diurnal amplitude", func(s *Spec) { s.Cohorts[1].Arrival.Pattern.Amplitude = 1.5 }, "outside [0,1]"},
+	{"unknown pattern", func(s *Spec) { s.Cohorts[1].Arrival.Pattern.Kind = "sawtooth" }, "unknown pattern kind"},
+	{"flash peak", func(s *Spec) {
+		*s.Cohorts[1].Arrival.Pattern = PatternSpec{Kind: PatternFlash, Ramp: 10, Peak: 0.5}
+	}, "peak ≥ 1"},
+	{"flash empty", func(s *Spec) {
+		*s.Cohorts[1].Arrival.Pattern = PatternSpec{Kind: PatternFlash, Peak: 3}
+	}, "positive ramp+hold+decay"},
+	{"piecewise empty", func(s *Spec) {
+		*s.Cohorts[1].Arrival.Pattern = PatternSpec{Kind: PatternPiecewise}
+	}, "at least one period"},
+	{"piecewise zero cycle", func(s *Spec) {
+		*s.Cohorts[1].Arrival.Pattern = PatternSpec{Kind: PatternPiecewise, Cycle: true, Periods: []PeriodSpec{{Duration: 10, Scale: 0}}}
+	}, "positive scale"},
+	{"goal percentile", func(s *Spec) { s.Cohorts[0].GoalPercentile = 1.5 }, "outside [0,1)"},
+}
+
 func TestValidateErrorPaths(t *testing.T) {
-	cases := []struct {
-		name string
-		mut  func(*Spec)
-		want string
-	}{
-		{"no name", func(s *Spec) { s.Name = "" }, "needs a name"},
-		{"no cohorts", func(s *Spec) { s.Cohorts = nil }, "at least one cohort"},
-		{"dup cohort", func(s *Spec) { s.Cohorts[1].Name = "shoppers" }, "duplicate cohort"},
-		{"bad mix sum", func(s *Spec) { s.Cohorts[0].Mix = map[string]float64{"browse": 0.5} }, "sum to"},
-		{"negative mix", func(s *Spec) { s.Cohorts[0].Mix = map[string]float64{"browse": 1.4, "buy": -0.4} }, "negative mix fraction"},
-		{"closed no clients", func(s *Spec) { s.Cohorts[0].Arrival.Clients = 0 }, "positive clients"},
-		{"closed no think", func(s *Spec) { s.Cohorts[0].Think = nil }, "think distribution"},
-		{"closed with pattern", func(s *Spec) { s.Cohorts[0].Arrival.Pattern = &PatternSpec{Kind: PatternDiurnal, Period: 60} }, "cannot carry a temporal pattern"},
-		{"open with think", func(s *Spec) { th := Exponential(7); s.Cohorts[1].Think = &th }, "must not declare a think"},
-		{"poisson no rate", func(s *Spec) { s.Cohorts[1].Arrival.Rate = 0 }, "positive rate"},
-		{"mmpp one state", func(s *Spec) { s.Cohorts[2].Arrival.States = s.Cohorts[2].Arrival.States[:1] }, "at least 2"},
-		{"mmpp all silent", func(s *Spec) {
-			s.Cohorts[2].Arrival.States = []MMPPStateSpec{{Rate: 0, MeanDwell: 1}, {Rate: 0, MeanDwell: 2}}
-		}, "positive rate"},
-		{"mmpp bad dwell", func(s *Spec) { s.Cohorts[2].Arrival.States[0].MeanDwell = 0 }, "positive mean_dwell"},
-		{"unknown process", func(s *Spec) { s.Cohorts[1].Arrival.Process = "fractal" }, "unknown arrival process"},
-		{"unknown dist", func(s *Spec) { s.Cohorts[0].Think.Dist = "cauchy" }, "unknown distribution"},
-		{"lognormal no cv", func(s *Spec) { s.Cohorts[0].Think.CV = 0 }, "positive cv"},
-		{"exponential with cv", func(s *Spec) { *s.Cohorts[0].Think = DistSpec{Dist: DistExponential, Mean: 7, CV: 2} }, "must not set cv"},
-		{"diurnal amplitude", func(s *Spec) { s.Cohorts[1].Arrival.Pattern.Amplitude = 1.5 }, "outside [0,1]"},
-		{"unknown pattern", func(s *Spec) { s.Cohorts[1].Arrival.Pattern.Kind = "sawtooth" }, "unknown pattern kind"},
-		{"flash peak", func(s *Spec) {
-			*s.Cohorts[1].Arrival.Pattern = PatternSpec{Kind: PatternFlash, Ramp: 10, Peak: 0.5}
-		}, "peak ≥ 1"},
-		{"flash empty", func(s *Spec) {
-			*s.Cohorts[1].Arrival.Pattern = PatternSpec{Kind: PatternFlash, Peak: 3}
-		}, "positive ramp+hold+decay"},
-		{"piecewise empty", func(s *Spec) {
-			*s.Cohorts[1].Arrival.Pattern = PatternSpec{Kind: PatternPiecewise}
-		}, "at least one period"},
-		{"piecewise zero cycle", func(s *Spec) {
-			*s.Cohorts[1].Arrival.Pattern = PatternSpec{Kind: PatternPiecewise, Cycle: true, Periods: []PeriodSpec{{Duration: 10, Scale: 0}}}
-		}, "positive scale"},
-		{"goal percentile", func(s *Spec) { s.Cohorts[0].GoalPercentile = 1.5 }, "outside [0,1)"},
-	}
-	for _, tc := range cases {
+	for _, tc := range validateErrorCases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := validSpec()
 			tc.mut(s)

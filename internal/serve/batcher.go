@@ -34,7 +34,10 @@ type solveOut struct {
 	rt    float64 // mean response time, for solveRT
 	n     int     // max clients, for solveCapacity
 	evals int
-	err   error
+	// capped marks a capacity search that reached capacityLimit with
+	// the goal still met: n is the limit, not the capacity.
+	capped bool
+	err    error
 }
 
 // keyState is a worker-owned warm solving context for one
@@ -187,9 +190,13 @@ func (b *batcher) run(states *parallel.Memo[modelKey, *keyState], job *solveJob)
 			return
 		}
 		metrics.Load().batchSolves.Add(uint64(evals))
-		job.resp <- solveOut{n: n, evals: evals}
+		job.resp <- solveOut{n: n, evals: evals, capped: n == capacityLimit}
 	}
 }
+
+// capacityLimit bounds the population capacitySearch probes. A search
+// that still meets the goal there stops and answers the limit.
+const capacityLimit = 1 << 20
 
 // capacitySearch is the §8.2 client-count search generalised to a
 // fixed mix: the layered model cannot be inverted, so it probes total
@@ -217,7 +224,6 @@ func (b *batcher) capacitySearch(st *keyState, goalRT float64) (clients, evals i
 		evals++
 		return weightedMeanRT(st.model, res) <= goalRT, nil
 	}
-	const limit = 1 << 20
 	ok, err := evalAt(1)
 	if err != nil {
 		return 0, evals, err
@@ -226,7 +232,7 @@ func (b *batcher) capacitySearch(st *keyState, goalRT float64) (clients, evals i
 		return 0, evals, nil
 	}
 	lo, hi := 1, 2
-	for hi <= limit {
+	for hi <= capacityLimit {
 		ok, err := evalAt(hi)
 		if err != nil {
 			return 0, evals, err
@@ -237,8 +243,8 @@ func (b *batcher) capacitySearch(st *keyState, goalRT float64) (clients, evals i
 		lo = hi
 		hi *= 2
 	}
-	if hi > limit {
-		hi = limit + 1
+	if hi > capacityLimit {
+		hi = capacityLimit + 1
 	}
 	for lo+1 < hi {
 		mid := lo + (hi-lo)/2

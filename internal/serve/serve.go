@@ -315,8 +315,12 @@ type CapacityResponse struct {
 	Method      string  `json:"method"`
 	MaxClients  float64 `json:"max_clients"`
 	Evaluations int     `json:"evaluations,omitempty"`
-	Cold        bool    `json:"cold"`
-	BuildMS     float64 `json:"build_ms,omitempty"`
+	// Capped reports that the lqn search reached its population limit
+	// with the goal still met: MaxClients is that limit, a lower bound
+	// on the capacity rather than the capacity itself.
+	Capped  bool    `json:"capped,omitempty"`
+	Cold    bool    `json:"cold"`
+	BuildMS float64 `json:"build_ms,omitempty"`
 }
 
 // AllocateRequest runs Algorithm 1 over the cached models.
@@ -743,6 +747,7 @@ func (s *Service) Capacity(r *http.Request, req CapacityRequest) (*CapacityRespo
 			}
 			resp.MaxClients = float64(out.n)
 			resp.Evaluations = out.evals
+			resp.Capped = out.capped
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}

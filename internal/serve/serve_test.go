@@ -279,6 +279,9 @@ func TestServedLQNMatchesOffline(t *testing.T) {
 	if c1.Evaluations <= 0 {
 		t.Fatal("capacity search reported no evaluations")
 	}
+	if c1.Capped {
+		t.Fatalf("capacity %v under goal %v flagged as capped", c1.MaxClients, goal)
+	}
 	atRT := func(pop int) float64 {
 		for i, p := range workload.TypicalWorkload(pop) {
 			model.Classes[i].Population = p.Clients
@@ -298,6 +301,21 @@ func TestServedLQNMatchesOffline(t *testing.T) {
 	}
 	if rt := atRT(nCap + 1); rt <= goal {
 		t.Fatalf("served capacity %d not maximal: RT(%d) = %v <= %v", nCap, nCap+1, rt, goal)
+	}
+}
+
+// TestServedLQNCapacityFlagsSearchCap checks that a goal no population
+// up to the search limit breaks is answered with the limit and flagged
+// as capped, not passed off as the capacity.
+func TestServedLQNCapacityFlagsSearchCap(t *testing.T) {
+	_, srv := newTestServer(t, nil)
+	capURL := fmt.Sprintf("%s/v1/capacity?arch=%s&goal_rt_s=1e9&method=lqn", srv.URL, workload.AppServF().Name)
+	var resp CapacityResponse
+	if code := getJSON(t, srv.Client(), capURL, &resp); code != http.StatusOK {
+		t.Fatalf("capacity status %d", code)
+	}
+	if resp.MaxClients != capacityLimit || !resp.Capped {
+		t.Fatalf("max_clients %v capped %v, want %d capped", resp.MaxClients, resp.Capped, capacityLimit)
 	}
 }
 

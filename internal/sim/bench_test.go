@@ -72,31 +72,61 @@ func BenchmarkScheduleCancelDrain(b *testing.B) {
 	}
 }
 
-// BenchmarkCalendarHold measures per-event cost with a large constant
-// population of self-rescheduling timers resident in the queue — the
-// regime a fleet shard lives in, one pending think timer per idle
-// client. The calendar's O(1) bucket operations are the point of the
-// backend, and steady state must stay allocation-free: the intrusive
-// bucket lists reuse the events' own link field.
-func BenchmarkCalendarHold(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		mk   func() *Engine
-	}{{"heap", NewEngine}, {"calendar", NewEngineCalendar}} {
-		b.Run(bc.name, func(b *testing.B) {
-			e := bc.mk()
-			rng := NewStream(7)
-			var fire func()
-			fire = func() { e.Schedule(rng.Exp(1), fire) }
-			const pending = 65536
-			for i := 0; i < pending; i++ {
-				e.Schedule(rng.Float64(), fire)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			e.Run(math.Inf(1), uint64(b.N))
-		})
-	}
+// BenchmarkEngineHold measures per-event cost with a constant
+// population of timers resident in the queue. uniform is the classic
+// hold model: 65,536 self-rescheduling exp(1) timers. shard is the
+// traffic one shard of a 256-pool, 64k-client fleet carries: 32k think
+// timers with a 7 s mean, one per idle client, plus the completion
+// timers of 256 processor-sharing stations (an application and a
+// database CPU for each of 128 pools). Every event cancels and
+// re-arms one station's completion at a millisecond horizon, as a
+// station does on each arrival and departure. Seconds-scale and
+// millisecond-scale timers sharing one queue is the shape a bucketed
+// scheduler sized from the overall time spread handles worst. Steady
+// state must be allocation-free in both cases.
+func BenchmarkEngineHold(b *testing.B) {
+	b.Run("uniform", func(b *testing.B) {
+		e := NewEngine()
+		rng := NewStream(7)
+		var fire func()
+		fire = func() { e.Schedule(rng.Exp(1), fire) }
+		for i := 0; i < 65536; i++ {
+			e.Schedule(rng.Float64(), fire)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		e.Run(math.Inf(1), uint64(b.N))
+	})
+	b.Run("shard", func(b *testing.B) {
+		e := NewEngine()
+		rng := NewStream(7)
+		const clients, stations = 32768, 256
+		var completion [stations]Event
+		var complete [stations]func()
+		// rearm reschedules station k's completion, the way an arrival
+		// or departure changes every job's share of service.
+		rearm := func(k int) {
+			completion[k].Cancel()
+			completion[k] = e.Schedule(rng.Exp(0.005), complete[k])
+		}
+		for k := range complete {
+			complete[k] = func() { rearm(k) }
+		}
+		var think func()
+		think = func() {
+			e.Schedule(rng.Exp(7), think)
+			rearm(rng.Intn(stations))
+		}
+		for i := 0; i < clients; i++ {
+			e.Schedule(rng.Exp(7), think)
+		}
+		for k := range complete {
+			rearm(k)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		e.Run(math.Inf(1), uint64(b.N))
+	})
 }
 
 // BenchmarkShardWindow measures one coordinator synchronisation window

@@ -15,9 +15,12 @@
 // discarded events return to a per-engine free list and are reused by
 // later Schedule calls, and the priority queue is a concrete-typed
 // binary heap rather than container/heap, so no interface boxing or
-// dynamic dispatch happens per event. One Engine is strictly
+// dynamic dispatch happens per event. That heap is the only scheduler:
+// the single-engine simulator and every shard of a Coordinator run on
+// it, firing in (time, seq) order. One Engine is strictly
 // single-goroutine; concurrency lives a level up, where independent
-// engines run in parallel (internal/parallel).
+// engines run in parallel (internal/parallel) or advance in
+// conservative windows under a Coordinator.
 package sim
 
 import (
@@ -59,7 +62,7 @@ type event struct {
 	gen       uint64
 	action    func()
 	cancelled bool
-	next      *event // free-list link, or calendar bucket chain; nil while heap-queued
+	next      *event // free-list link; nil while queued
 }
 
 // Engine is a sequential discrete-event scheduler. Events fire in
@@ -69,8 +72,7 @@ type event struct {
 type Engine struct {
 	now    float64
 	queue  []*event // concrete binary heap ordered by (time, seq)
-	cal    *calendarQueue
-	free   *event // recycled events
+	free   *event   // recycled events
 	nextSq uint64
 	fired  uint64
 
@@ -81,20 +83,9 @@ type Engine struct {
 	flushedFired, flushedReuses, flushedAllocs uint64
 }
 
-// NewEngine returns an engine with the clock at 0, backed by the
-// binary-heap scheduler.
+// NewEngine returns an engine with the clock at 0.
 func NewEngine() *Engine {
 	return &Engine{}
-}
-
-// NewEngineCalendar returns an engine backed by a calendar-queue
-// scheduler instead of the binary heap. Event ordering — and therefore
-// any seeded run's trajectory — is identical to NewEngine; the
-// calendar trades the heap's O(log n) sift for O(1) bucket operations,
-// which pays off in sharded runs holding one pending timer per idle
-// client.
-func NewEngineCalendar() *Engine {
-	return &Engine{cal: newCalendarQueue()}
 }
 
 // Now returns the current simulated time.
@@ -107,9 +98,6 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // Pending returns the number of events currently scheduled (including
 // cancelled events not yet discarded).
 func (e *Engine) Pending() int {
-	if e.cal != nil {
-		return e.cal.size
-	}
 	return len(e.queue)
 }
 
@@ -117,12 +105,6 @@ func (e *Engine) Pending() int {
 // +Inf when the queue is empty. The shard coordinator uses it to skip
 // idle synchronisation windows.
 func (e *Engine) PeekTime() float64 {
-	if e.cal != nil {
-		if ev := e.cal.peek(); ev != nil {
-			return ev.time
-		}
-		return math.Inf(1)
-	}
 	if len(e.queue) > 0 {
 		return e.queue[0].time
 	}
@@ -171,14 +153,7 @@ func (e *Engine) enqueue(t float64, action func()) Event {
 	ev.action = action
 	ev.cancelled = false
 	e.nextSq++
-	if e.cal != nil {
-		e.cal.push(ev)
-		if e.cal.size > e.heapMax {
-			e.heapMax = e.cal.size
-		}
-	} else {
-		e.push(ev)
-	}
+	e.push(ev)
 	return Event{ev: ev, gen: ev.gen, time: ev.time}
 }
 
@@ -196,9 +171,6 @@ func (e *Engine) release(ev *event) {
 // queue drains, or limit events have fired (limit <= 0 means no
 // limit). It returns the number of events fired by this call.
 func (e *Engine) Run(until float64, limit uint64) uint64 {
-	if e.cal != nil {
-		return e.runCalendar(until, limit)
-	}
 	var fired uint64
 	for len(e.queue) > 0 {
 		next := e.queue[0]
@@ -227,59 +199,9 @@ func (e *Engine) Run(until float64, limit uint64) uint64 {
 	return fired
 }
 
-// runCalendar is Run over the calendar-queue backend: same firing
-// order, same clock-clamping rules, different dequeue mechanics.
-func (e *Engine) runCalendar(until float64, limit uint64) uint64 {
-	var fired uint64
-	for {
-		next := e.cal.popBefore(until)
-		if next == nil {
-			break
-		}
-		if next.cancelled {
-			e.release(next)
-			continue
-		}
-		e.now = next.time
-		action := next.action
-		e.release(next) // before the action, so it can reuse the slot
-		action()
-		e.fired++
-		fired++
-		if limit > 0 && fired >= limit {
-			break
-		}
-	}
-	if e.now < until {
-		if nxt := e.cal.peek(); nxt == nil || nxt.time > until {
-			e.now = until
-		}
-	}
-	e.flushMetrics()
-	return fired
-}
-
 // Step executes the single next event, if any, and reports whether one
 // fired.
 func (e *Engine) Step() bool {
-	if e.cal != nil {
-		for {
-			next := e.cal.popBefore(math.Inf(1))
-			if next == nil {
-				return false
-			}
-			if next.cancelled {
-				e.release(next)
-				continue
-			}
-			e.now = next.time
-			action := next.action
-			e.release(next)
-			action()
-			e.fired++
-			return true
-		}
-	}
 	for len(e.queue) > 0 {
 		next := e.pop()
 		if next.cancelled {

@@ -201,6 +201,43 @@ func TestEngineInvalidDelayPanics(t *testing.T) {
 	}
 }
 
+// PeekTime reports the earliest pending fire time, and +Inf when the
+// queue is empty or drained.
+func TestPeekTime(t *testing.T) {
+	e := NewEngine()
+	if !math.IsInf(e.PeekTime(), 1) {
+		t.Fatalf("empty engine PeekTime = %v, want +Inf", e.PeekTime())
+	}
+	e.Schedule(5, func() {})
+	e.Schedule(2, func() {})
+	if got := e.PeekTime(); got != 2 {
+		t.Fatalf("PeekTime = %v, want 2", got)
+	}
+	e.Run(10, 0)
+	if !math.IsInf(e.PeekTime(), 1) {
+		t.Fatalf("drained engine PeekTime = %v, want +Inf", e.PeekTime())
+	}
+}
+
+// ScheduleAt places events at absolute times and panics on times in
+// the past.
+func TestScheduleAt(t *testing.T) {
+	e := NewEngine()
+	var order []int
+	e.Schedule(3, func() { order = append(order, 1) })
+	e.ScheduleAt(2, func() { order = append(order, 0) })
+	e.Run(10, 0)
+	if len(order) != 2 || order[0] != 0 || order[1] != 1 {
+		t.Fatalf("order = %v, want [0 1]", order)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ScheduleAt in the past did not panic")
+		}
+	}()
+	e.ScheduleAt(e.Now()-1, func() {})
+}
+
 func TestStreamExpMean(t *testing.T) {
 	s := NewStream(1)
 	const mean = 7.0 // the paper's think time

@@ -40,10 +40,10 @@ func (s *msgSorter) Less(i, j int) bool {
 	return a.seq < b.seq
 }
 
-// Shard is one partition of a sharded simulation: a calendar-queue
-// engine plus the outboxes carrying its cross-shard sends. All state
-// reachable from a shard's events must be owned by that shard; the
-// only cross-shard channel is Send.
+// Shard is one partition of a sharded simulation: an engine plus the
+// outboxes carrying its cross-shard sends. All state reachable from a
+// shard's events must be owned by that shard; the only cross-shard
+// channel is Send.
 type Shard struct {
 	// Eng is the shard's private engine. Only the shard's own events
 	// (and the coordinator, between windows) may touch it.
@@ -109,9 +109,9 @@ type Coordinator struct {
 	barrierHook func(now float64)
 }
 
-// NewCoordinator builds nshards calendar-queue engines coordinated
-// with the given lookahead. A non-finite lookahead (math.Inf(1)) means
-// "no cross-shard traffic": the run degenerates to a single window and
+// NewCoordinator builds nshards engines coordinated with the given
+// lookahead. A non-finite lookahead (math.Inf(1)) means "no
+// cross-shard traffic": the run degenerates to a single window and
 // Send panics, which is the right mode for embarrassingly parallel
 // partitions. Otherwise lookahead must be positive — a zero-latency
 // partition cannot be conservatively parallelised.
@@ -126,7 +126,7 @@ func NewCoordinator(nshards int, lookahead float64) *Coordinator {
 	c.shards = make([]*Shard, nshards)
 	for i := range c.shards {
 		sh := &Shard{
-			Eng:      NewEngineCalendar(),
+			Eng:      NewEngine(),
 			id:       i,
 			coord:    c,
 			out:      make([][]message, nshards),

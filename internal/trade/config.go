@@ -191,9 +191,9 @@ type Config struct {
 	Pools int
 	// Shards is the number of engine shards the pools are partitioned
 	// across (pool i runs on shard i mod Shards); each shard advances
-	// on its own calendar-queue engine, synchronised in conservative
-	// time windows. 0 or 1 runs all pools on one engine. Shards above
-	// Pools are clamped to Pools.
+	// on its own engine, synchronised in conservative time windows. 0
+	// or 1 runs all pools on one engine. Shards above Pools are clamped
+	// to Pools.
 	Shards int
 	// RemoteFraction is the probability a closed client's request is
 	// forwarded to a uniformly chosen remote pool instead of its own —

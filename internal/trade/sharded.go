@@ -10,9 +10,9 @@ import (
 )
 
 // This file is the sharded fleet model: Pools replicas of the
-// configured network partitioned across Shards calendar-queue engines
-// under a sim.Coordinator. Each pool is an ordinary simulator whose
-// random streams are split from the run seed by stable pool index
+// configured network partitioned across Shards engines under a
+// sim.Coordinator. Each pool is an ordinary simulator whose random
+// streams are split from the run seed by stable pool index
 // (sim.SplitSeed), owns all of its state, and — when RemoteFraction is
 // enabled — forwards a fraction of client requests to sibling pools
 // through the coordinator's conservative message exchange. Because no

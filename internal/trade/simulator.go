@@ -215,7 +215,7 @@ func newSimulator(cfg Config, opt simOptions) (*simulator, error) {
 	eng := sim.NewEngine()
 	root := sim.NewStream(cfg.Seed)
 	if opt.shard != nil {
-		// Sharded pool: run on the shard's calendar engine with a root
+		// Sharded pool: run on the shard's engine with a root
 		// stream split by stable pool index, so the pool's entire draw
 		// sequence is a pure function of (Seed, pool) — invariant under
 		// the pool→shard mapping.
