@@ -66,7 +66,7 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSchedule|BenchmarkRunDrain|BenchmarkStationSubmit' -benchmem ./internal/sim
 	$(GO) test -run '^$$' -bench BenchmarkMeasureCurve -benchtime 2x ./internal/trade
-	$(GO) test -run '^$$' -bench 'BenchmarkRequestLoop|BenchmarkCollect|BenchmarkTransientCurve' -benchmem ./internal/trade
+	$(GO) test -run '^$$' -bench 'BenchmarkRequestLoop|BenchmarkCollect|BenchmarkWindows' -benchmem ./internal/trade
 	$(GO) test -run '^$$' -bench 'BenchmarkSolve' -benchmem ./internal/lqn
 	$(GO) test -run '^$$' -bench 'BenchmarkHybridBuild|BenchmarkBuildRelationship3' -benchmem ./internal/hybrid
 	$(GO) run ./cmd/lqnbench -out BENCH_lqn.json

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
 
 	"perfpred/internal/trade"
@@ -31,6 +32,9 @@ type benchResult struct {
 
 type snapshot struct {
 	Note              string        `json:"note"`
+	Cores             int           `json:"cores"`
+	GOMAXPROCS        int           `json:"gomaxprocs"`
+	GoVersion         string        `json:"go_version"`
 	Baseline          benchResult   `json:"baseline"`
 	Benchmarks        []benchResult `json:"benchmarks"`
 	SpeedupVsBaseline float64       `json:"speedup_vs_baseline"`
@@ -54,7 +58,10 @@ func sweepCounts() []int { return []int{260, 460, 650, 1050, 1300, 1560, 1890, 2
 
 func runBenchmarks(out string) {
 	snap := snapshot{
-		Note: "trade simulator fast path; regenerate with `make bench` (timings are machine-dependent, allocation counts are not)",
+		Note:       "trade simulator fast path; regenerate with `make bench` (timings are machine-dependent, allocation counts are not)",
+		Cores:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
 	}
 	snap.Baseline = baseline
 
@@ -69,16 +76,10 @@ func runBenchmarks(out string) {
 		}
 	}
 	fixed := trade.MeasureOptions{Seed: 17, WarmUp: 10, Duration: 60, Workers: 1}
-	adaptive := fixed
-	adaptive.TargetRelErr = 0.05
-	streaming := fixed
-	streaming.StreamingPercentiles = true
 
 	headline := record("MeasureCurve/fixed/workers=1", sweep(fixed))
 	snap.Benchmarks = append(snap.Benchmarks,
 		headline,
-		record("MeasureCurve/adaptive-0.05/workers=1", sweep(adaptive)),
-		record("MeasureCurve/streaming-percentiles/workers=1", sweep(streaming)),
 		record("Run/closed-400-mixed", func(b *testing.B) {
 			cfg := trade.Config{
 				Server:   workload.AppServF(),
@@ -96,7 +97,7 @@ func runBenchmarks(out string) {
 				}
 			}
 		}),
-		record("TransientCurve/800-clients-10-buckets", func(b *testing.B) {
+		record("Windows/800-clients-10-windows", func(b *testing.B) {
 			cfg := trade.Config{
 				Server:   workload.AppServF(),
 				DB:       workload.CaseStudyDB(),
@@ -107,7 +108,7 @@ func runBenchmarks(out string) {
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := trade.TransientCurve(cfg, 10); err != nil {
+				if _, err := trade.Windows(cfg, 10); err != nil {
 					b.Fatal(err)
 				}
 			}

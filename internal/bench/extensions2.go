@@ -26,14 +26,14 @@ func (s *Suite) Stabilisation() (*Table, error) {
 		Seed:     s.Opt.Seed,
 		Duration: 400,
 	}
-	curve, err := trade.TransientCurve(cfg, 20)
+	curve, err := trade.Windows(cfg, 20)
 	if err != nil {
 		return nil, err
 	}
 	var pts []hist.StabilisationPoint
 	for _, p := range curve {
 		if p.Completed > 0 {
-			pts = append(pts, hist.StabilisationPoint{Time: p.Time, MeanRT: p.MeanRT})
+			pts = append(pts, hist.StabilisationPoint{Time: p.End, MeanRT: p.MeanRT})
 		}
 	}
 	model, err := hist.FitStabilisation(pts)

@@ -20,11 +20,9 @@ const maxOracleClients = 1 << 18
 // manager evaluations — the measured reality the planning predictors
 // are scored against — without pre-calibrating a model.
 //
-// Opt tunes the underlying measurements; setting Opt.TargetRelErr runs
-// each probe under adaptive run-length control, so the oracle spends
-// simulation time only until the requested precision is reached. The
-// memo is concurrency-safe: parallel sweeps sharing one oracle
-// deduplicate identical probes in flight.
+// Opt tunes the underlying measurements. The memo is
+// concurrency-safe: parallel sweeps sharing one oracle deduplicate
+// identical probes in flight.
 type SimOracle struct {
 	archs map[string]workload.ServerArch
 	opt   trade.MeasureOptions

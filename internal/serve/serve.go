@@ -386,14 +386,22 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
-// requestCtx applies the per-request deadline.
+// maxDeadline caps every request's deadline.
+const maxDeadline = time.Minute
+
+// requestCtx applies the per-request deadline. The cap is compared in
+// milliseconds before converting, so a huge deadline_ms cannot wrap the
+// Duration product negative and expire the request at once.
 func (s *Service) requestCtx(r *http.Request, deadlineMS int64) (context.Context, context.CancelFunc) {
 	d := s.cfg.DefaultDeadline
 	if deadlineMS > 0 {
-		d = time.Duration(deadlineMS) * time.Millisecond
+		d = maxDeadline
+		if deadlineMS < maxDeadline.Milliseconds() {
+			d = time.Duration(deadlineMS) * time.Millisecond
+		}
 	}
-	if d > time.Minute {
-		d = time.Minute
+	if d > maxDeadline {
+		d = maxDeadline
 	}
 	return context.WithTimeout(r.Context(), d)
 }
@@ -474,6 +482,19 @@ func decodeInto(r *http.Request, dst any) error {
 		}
 		return nil
 	}
+	// getDeadline parses deadline_ms, rejecting what int64 cannot hold
+	// (NaN included) rather than letting the conversion invent a value.
+	getDeadline := func(into *int64) error {
+		var dl float64
+		if err := getF("deadline_ms", &dl); err != nil {
+			return err
+		}
+		if !(dl >= math.MinInt64 && dl < math.MaxInt64) {
+			return &badRequestError{msg: fmt.Sprintf("deadline_ms %v out of range", dl)}
+		}
+		*into = int64(dl)
+		return nil
+	}
 	switch d := dst.(type) {
 	case *PredictRequest:
 		if v, ok := get("arch"); ok {
@@ -489,11 +510,7 @@ func decodeInto(r *http.Request, dst any) error {
 				return err
 			}
 		}
-		var dl float64
-		if err := getF("deadline_ms", &dl); err != nil {
-			return err
-		}
-		d.DeadlineMS = int64(dl)
+		return getDeadline(&d.DeadlineMS)
 	case *CapacityRequest:
 		if v, ok := get("arch"); ok {
 			d.Arch = v
@@ -508,15 +525,10 @@ func decodeInto(r *http.Request, dst any) error {
 				return err
 			}
 		}
-		var dl float64
-		if err := getF("deadline_ms", &dl); err != nil {
-			return err
-		}
-		d.DeadlineMS = int64(dl)
+		return getDeadline(&d.DeadlineMS)
 	default:
 		return &badRequestError{msg: "method not allowed"}
 	}
-	return nil
 }
 
 func validateCommon(arch string, buyPct float64) error {

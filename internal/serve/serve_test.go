@@ -35,7 +35,7 @@ func testConfig() Config {
 	}
 }
 
-func newTestService(t *testing.T, mutate func(*Config)) *Service {
+func newTestService(t testing.TB, mutate func(*Config)) *Service {
 	t.Helper()
 	cfg := testConfig()
 	if mutate != nil {
@@ -651,6 +651,35 @@ func TestDeadlineExpiresWith504(t *testing.T) {
 	wg.Wait()
 }
 
+// TestLongDeadlineIsCapped asks a warm key with a deadline far past the
+// one-minute cap: the request runs under the cap and answers 200, rather
+// than the Duration product wrapping negative into an instant 504. The
+// lqn method checks its context before solving, so an expired deadline
+// cannot slip through on a memoised answer.
+func TestLongDeadlineIsCapped(t *testing.T) {
+	_, srv := newTestServer(t, nil)
+	client := srv.Client()
+	var warm PredictResponse
+	if code := getJSON(t, client, srv.URL+"/v1/predict?arch=AppServF&clients=300&method=lqn", &warm); code != http.StatusOK {
+		t.Fatalf("warm-up: status %d", code)
+	}
+	var post PredictResponse
+	req := PredictRequest{Arch: "AppServF", Clients: 300, Method: "lqn", DeadlineMS: 10_000_000_000_000}
+	if code := postJSON(t, client, srv.URL+"/v1/predict", req, &post); code != http.StatusOK {
+		t.Fatalf("POST deadline_ms 1e13: status %d, want 200", code)
+	}
+	var get PredictResponse
+	if code := getJSON(t, client, srv.URL+"/v1/predict?arch=AppServF&clients=300&method=lqn&deadline_ms=1e13", &get); code != http.StatusOK {
+		t.Fatalf("GET deadline_ms=1e13: status %d, want 200", code)
+	}
+	// Warm-started layered solves agree to solver tolerance, not bitwise.
+	for _, got := range []float64{post.ResponseTimeS, get.ResponseTimeS} {
+		if rel := math.Abs(got-warm.ResponseTimeS) / warm.ResponseTimeS; rel > 1e-6 {
+			t.Fatalf("capped-deadline answer %v vs %v beyond solver tolerance", got, warm.ResponseTimeS)
+		}
+	}
+}
+
 // TestGracefulShutdownDrains closes the service while layered solves
 // are in flight: every request accepted before shutdown must still get
 // its answer (the drain contract), and requests after it must be told
@@ -716,27 +745,48 @@ func TestGracefulShutdownDrains(t *testing.T) {
 
 // TestBadRequests maps every client mistake to a 400 with a JSON error
 // body.
+// badRequestURLs are GET queries the service must answer with a 400;
+// FuzzDecodeRequest seeds its corpus with them.
+var badRequestURLs = []string{
+	"/v1/predict?arch=NoSuchServer&clients=10",
+	"/v1/predict?clients=10",
+	"/v1/predict?arch=AppServF&clients=0",
+	"/v1/predict?arch=AppServF&clients=10&percentile=1.5",
+	"/v1/predict?arch=AppServF&clients=10&buy_pct=150",
+	"/v1/predict?arch=AppServF&clients=10&method=tarot",
+	"/v1/capacity?arch=AppServF&goal_rt_s=0",
+	"/v1/capacity?arch=AppServF&goal_rt_s=-1",
+	// Non-finite numbers parse as floats but are no valid input.
+	"/v1/predict?arch=AppServF&clients=NaN",
+	"/v1/predict?arch=AppServF&clients=Inf",
+	"/v1/predict?arch=AppServF&clients=10&buy_pct=NaN",
+	"/v1/predict?arch=AppServF&clients=10&percentile=NaN",
+	"/v1/capacity?arch=AppServF&goal_rt_s=NaN",
+	"/v1/capacity?arch=AppServF&goal_rt_s=Inf",
+	"/v1/capacity?arch=AppServF&goal_rt_s=1&buy_pct=NaN",
+	// A deadline int64 cannot hold must not become MinInt64.
+	"/v1/predict?arch=AppServF&clients=10&deadline_ms=NaN",
+	"/v1/predict?arch=AppServF&clients=10&deadline_ms=Inf",
+	"/v1/predict?arch=AppServF&clients=10&deadline_ms=1e300",
+	"/v1/capacity?arch=AppServF&goal_rt_s=1&deadline_ms=NaN",
+	"/v1/capacity?arch=AppServF&goal_rt_s=1&deadline_ms=-1e300",
+}
+
+// badAllocateRequests are allocate bodies the service must answer with
+// a 400; FuzzDecodeRequest seeds its corpus with them.
+var badAllocateRequests = map[string]AllocateRequest{
+	"empty allocate": {},
+	"slack<1 without allow_deflation": {
+		Classes: []AllocClass{{Name: "g", GoalRTS: 0.1, Clients: 10}},
+		Servers: []AllocServer{{Name: "x", Arch: "AppServF", Power: 1}},
+		Slack:   0.5, // deflation without opting in
+	},
+}
+
 func TestBadRequests(t *testing.T) {
 	_, srv := newTestServer(t, nil)
 	client := srv.Client()
-	for _, url := range []string{
-		"/v1/predict?arch=NoSuchServer&clients=10",
-		"/v1/predict?clients=10",
-		"/v1/predict?arch=AppServF&clients=0",
-		"/v1/predict?arch=AppServF&clients=10&percentile=1.5",
-		"/v1/predict?arch=AppServF&clients=10&buy_pct=150",
-		"/v1/predict?arch=AppServF&clients=10&method=tarot",
-		"/v1/capacity?arch=AppServF&goal_rt_s=0",
-		"/v1/capacity?arch=AppServF&goal_rt_s=-1",
-		// Non-finite numbers parse as floats but are no valid input.
-		"/v1/predict?arch=AppServF&clients=NaN",
-		"/v1/predict?arch=AppServF&clients=Inf",
-		"/v1/predict?arch=AppServF&clients=10&buy_pct=NaN",
-		"/v1/predict?arch=AppServF&clients=10&percentile=NaN",
-		"/v1/capacity?arch=AppServF&goal_rt_s=NaN",
-		"/v1/capacity?arch=AppServF&goal_rt_s=Inf",
-		"/v1/capacity?arch=AppServF&goal_rt_s=1&buy_pct=NaN",
-	} {
+	for _, url := range badRequestURLs {
 		var e errorResponse
 		if code := getJSON(t, client, srv.URL+url, &e); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", url, code)
@@ -744,15 +794,10 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("%s: empty error body", url)
 		}
 	}
-	if code := postJSON(t, client, srv.URL+"/v1/allocate", AllocateRequest{}, nil); code != http.StatusBadRequest {
-		t.Errorf("empty allocate: status %d, want 400", code)
-	}
-	if code := postJSON(t, client, srv.URL+"/v1/allocate", AllocateRequest{
-		Classes: []AllocClass{{Name: "g", GoalRTS: 0.1, Clients: 10}},
-		Servers: []AllocServer{{Name: "x", Arch: "AppServF", Power: 1}},
-		Slack:   0.5, // deflation without opting in
-	}, nil); code != http.StatusBadRequest {
-		t.Errorf("slack<1 without allow_deflation: status %d, want 400", code)
+	for name, req := range badAllocateRequests {
+		if code := postJSON(t, client, srv.URL+"/v1/allocate", req, nil); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, code)
+		}
 	}
 }
 

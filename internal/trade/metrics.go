@@ -18,10 +18,6 @@ type tradeMetrics struct {
 	cacheHits   *obs.Counter // session-cache hits (measured window)
 	cacheMisses *obs.Counter // session-cache misses (measured window)
 	cacheEvicts *obs.Counter // session-cache evictions (measured window)
-
-	adaptiveRuns         *obs.Counter // RunAdaptive invocations
-	adaptiveBatches      *obs.Counter // batch-means batches accumulated
-	adaptiveNonConverged *obs.Counter // adaptive runs stopped by the duration cap
 }
 
 var metrics atomic.Pointer[tradeMetrics]
@@ -35,15 +31,12 @@ func EnableMetrics(r *obs.Registry) {
 		return
 	}
 	metrics.Store(&tradeMetrics{
-		completed:            r.Counter("trade_requests_completed"),
-		poolReuses:           r.Counter("trade_request_pool_reuses"),
-		poolAllocs:           r.Counter("trade_request_pool_allocs"),
-		cacheHits:            r.Counter("trade_cache_hits"),
-		cacheMisses:          r.Counter("trade_cache_misses"),
-		cacheEvicts:          r.Counter("trade_cache_evicts"),
-		adaptiveRuns:         r.Counter("trade_adaptive_runs"),
-		adaptiveBatches:      r.Counter("trade_adaptive_batches"),
-		adaptiveNonConverged: r.Counter("trade_adaptive_nonconverged"),
+		completed:   r.Counter("trade_requests_completed"),
+		poolReuses:  r.Counter("trade_request_pool_reuses"),
+		poolAllocs:  r.Counter("trade_request_pool_allocs"),
+		cacheHits:   r.Counter("trade_cache_hits"),
+		cacheMisses: r.Counter("trade_cache_misses"),
+		cacheEvicts: r.Counter("trade_cache_evicts"),
 	})
 }
 
@@ -63,18 +56,5 @@ func (s *simulator) flushMetrics(totalCompleted int) {
 			m.cacheMisses.Add(app.cache.misses)
 			m.cacheEvicts.Add(app.cache.evicts)
 		}
-	}
-}
-
-// recordAdaptive publishes one adaptive run's stopping diagnostics.
-func recordAdaptive(batches int, converged bool) {
-	m := metrics.Load()
-	if m == nil {
-		return
-	}
-	m.adaptiveRuns.Inc()
-	m.adaptiveBatches.Add(uint64(batches))
-	if !converged {
-		m.adaptiveNonConverged.Inc()
 	}
 }

@@ -116,10 +116,13 @@ type WindowPoint struct {
 
 // Windows runs the configured workload from a cold start — no warm-up
 // discard; the config's WarmUp field is ignored — and reports
-// completions in fixed-width windows across Duration. Unlike
-// TransientCurve it keeps open populations active, because
-// time-varying open traffic (flash sales, MMPP bursts) is exactly
-// what the windowed view is for. Single-engine configurations only.
+// completions in fixed-width windows across Duration. The full Config
+// is honoured, open populations included: time-varying open traffic
+// (flash sales, MMPP bursts) is what the windowed view is for, and a
+// closed load's windows trace its settling toward steady state — the
+// stabilisation behaviour the historical method records as a variable
+// (§8.2) and the steady-state-only layered method cannot represent.
+// Single-engine configurations only.
 func Windows(cfg Config, window float64) ([]WindowPoint, error) {
 	if window <= 0 {
 		return nil, errors.New("trade: window must be positive")

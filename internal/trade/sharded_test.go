@@ -191,7 +191,6 @@ func TestShardedRemoteRequestsServed(t *testing.T) {
 func TestShardedConfigValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.DetailedOperations = true },
-		func(c *Config) { c.StreamingPercentiles = true },
 		func(c *Config) { c.RemoteFraction = 1.0 },
 		func(c *Config) { c.RemoteFraction = -0.1 },
 		func(c *Config) { c.ShardLatency = -1 },
@@ -219,14 +218,10 @@ func TestShardedConfigValidation(t *testing.T) {
 	}
 }
 
-// Adaptive and transient studies stay on the legacy engine.
+// Windowed cold-start studies stay on the legacy engine.
 func TestShardedGuards(t *testing.T) {
-	cfg := shardedConfig(2, 2, 0)
-	if _, err := RunAdaptive(cfg, RunControl{TargetRelErr: 0.05}); err == nil {
-		t.Error("RunAdaptive accepted a sharded config")
-	}
-	if _, err := TransientCurve(cfg, 10); err == nil {
-		t.Error("TransientCurve accepted a sharded config")
+	if _, err := Windows(shardedConfig(2, 2, 0), 10); err == nil {
+		t.Error("Windows accepted a sharded config")
 	}
 }
 

@@ -70,12 +70,10 @@ type simulator struct {
 	// flushMetrics publishes them to the process-wide atomics at collect.
 	poolReuses, poolAllocs uint64
 
-	measuring   bool
-	measuredDur float64 // actual measurement window (adaptive runs); 0 = cfg.Duration
-	acc         map[string]*classAcc
-	classNames  []string // sorted class names for deterministic collection
-	overall     *stats.StreamingQuantiles
-	ops         *opAccumulators
+	measuring  bool
+	acc        map[string]*classAcc
+	classNames []string // sorted class names for deterministic collection
+	ops        *opAccumulators
 
 	// intercept, when set, receives every completion (simulated time,
 	// response time) from t=0 instead of the measuring-gated class
@@ -89,11 +87,8 @@ type simulator struct {
 }
 
 // simOptions selects constructor variants shared by the steady-state
-// and transient entry points.
+// and windowed entry points.
 type simOptions struct {
-	// skipOpen leaves open populations idle — the transient study
-	// covers the closed populations.
-	skipOpen bool
 	// intercept routes every completion to the caller from t=0.
 	intercept func(now, rt float64)
 
@@ -111,16 +106,11 @@ type classAcc struct {
 	samples   []float64
 	seen      int
 	maxSample int
-	rng       *sim.Stream               // reservoir sampling stream
-	quant     *stats.StreamingQuantiles // non-nil in streaming mode
+	rng       *sim.Stream // reservoir sampling stream
 }
 
 func (a *classAcc) record(rt float64) {
 	a.rt.Add(rt)
-	if a.quant != nil {
-		a.quant.Add(rt)
-		return
-	}
 	a.seen++
 	if a.seen <= a.maxSample {
 		// Filling phase: every observation is retained, so quantiles
@@ -193,8 +183,8 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // newSimulator builds the network, registers every population and
-// schedules the initial arrivals. Both Run and TransientCurve use it,
-// so transient studies honour the full Config (caches, critical
+// schedules the initial arrivals. Both Run and Windows use it, so
+// cold-start studies honour the full Config (caches, critical
 // sections, multi-server tiers) with the same per-seed draw sequences.
 func newSimulator(cfg Config, opt simOptions) (*simulator, error) {
 	if err := cfg.Validate(); err != nil {
@@ -254,11 +244,8 @@ func newSimulator(cfg Config, opt simOptions) (*simulator, error) {
 			s.stickyWeights[i] = app.arch.Speed
 		}
 	}
-	if cfg.StreamingPercentiles {
-		s.overall = stats.NewStreamingQuantiles(cfg.StreamQuantiles)
-	}
 	if cfg.DetailedOperations {
-		s.ops = newOpAccumulators(cfg.MaxRTSamples, root.Derive(7), cfg.StreamingPercentiles, cfg.StreamQuantiles)
+		s.ops = newOpAccumulators(cfg.MaxRTSamples, root.Derive(7))
 		s.browseOps = BrowseOperations()
 		s.browseWeights = make([]float64, len(s.browseOps))
 		for i, op := range s.browseOps {
@@ -295,23 +282,18 @@ func newSimulator(cfg Config, opt simOptions) (*simulator, error) {
 	// in place.
 	id, sessID := 0, 0
 	for pi, pop := range cfg.Load {
-		sampler := newTypeSampler(pop.Class.Mix, cfg.Demands, cfg.CompatTypeChoice)
+		sampler := newTypeSampler(pop.Class.Mix, cfg.Demands)
 		s.acc[pop.Class.Name] = &classAcc{maxSample: cfg.MaxRTSamples, rng: sampleRNG.Derive(uint64(len(s.acc)))}
-		if cfg.StreamingPercentiles {
-			s.acc[pop.Class.Name].quant = stats.NewStreamingQuantiles(cfg.StreamQuantiles)
-		}
 		if pop.Open() {
 			// Open stream: spec-defined generator for scenario cohorts
 			// (Poisson, MMPP, trace, with temporal patterns); constant-rate
 			// Poisson arrivals (§8.1) otherwise. Either way each arrival is
 			// an independent request with no think loop and no session
 			// identity.
-			if !opt.skipOpen {
-				if cohorts != nil {
-					s.startScenarioStream(cohorts[pi], pi, sampler, root)
-				} else {
-					s.startOpenStream(pop, pi, sampler, arrivals.Derive(uint64(len(s.acc))))
-				}
+			if cohorts != nil {
+				s.startScenarioStream(cohorts[pi], pi, sampler, root)
+			} else {
+				s.startOpenStream(pop, pi, sampler, arrivals.Derive(uint64(len(s.acc))))
 			}
 			continue
 		}
@@ -559,23 +541,8 @@ func (s *simulator) sampleCalls(mean float64) int {
 	return base
 }
 
-// measuredTotals returns the running response-time sum and completion
-// count across classes, in sorted-name order so batch-mean extraction
-// is deterministic regardless of map layout.
-func (s *simulator) measuredTotals() (sum float64, count int) {
-	for _, name := range s.classNames {
-		acc := s.acc[name]
-		count += acc.rt.Count()
-		sum += acc.rt.Sum()
-	}
-	return sum, count
-}
-
 func (s *simulator) collect() *Result {
-	dur := s.measuredDur
-	if dur == 0 {
-		dur = s.cfg.Duration
-	}
+	dur := s.cfg.Duration
 	res := &Result{
 		PerClass: make(map[string]ClassResult, len(s.acc)),
 		Duration: dur,
@@ -624,7 +591,6 @@ func (s *simulator) collect() *Result {
 			RTStdDev:   acc.rt.StdDev(),
 			Throughput: float64(acc.rt.Count()) / dur,
 			Samples:    acc.samples,
-			Quantiles:  acc.quant,
 		}
 		res.PerClass[name] = cr
 		totalWeighted += cr.MeanRT * float64(cr.Completed)
@@ -634,7 +600,6 @@ func (s *simulator) collect() *Result {
 		res.MeanRT = totalWeighted / float64(totalCompleted)
 	}
 	res.Throughput = float64(totalCompleted) / dur
-	res.OverallQuantiles = s.overall
 	if s.ops != nil {
 		res.PerOperation = s.ops.results()
 	}

@@ -43,6 +43,11 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("invalid cache config should fail")
 	}
+	bad = good
+	bad.MaxRTSamples = -1
+	if err := bad.Validate(); err == nil {
+		t.Fatal("negative MaxRTSamples should fail")
+	}
 }
 
 func TestRunDeterministicForSeed(t *testing.T) {
